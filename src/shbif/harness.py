@@ -430,18 +430,19 @@ def _scenario_gsh_transcritical(cfg: ExperimentConfig, out: Path | None):
         return transcritical_amplitude(lam - lam_c, mu)
 
     checks = []
-    rows = []
+    solved = {}  # lambda -> (stability, amplitude); the sweep reuses 8.9 and 9.1
 
     def solve_at(lam):
-        seed = (law(lam) / phys) * phi1
-        s = stability(newton(seed, Params(lam, mu)))
-        return s, s.state.coeff(1) * phys
+        if lam not in solved:
+            seed = (law(lam) / phys) * phi1
+            s = stability(newton(seed, Params(lam, mu)))
+            solved[lam] = s, s.state.coeff(1) * phys
+        return solved[lam]
 
     for lam, want_index in ((8.9, 1), (9.1, 0)):
         s, amp = solve_at(lam)
         want = balance(lam)
         rel = abs(amp - want) / abs(want)
-        rows.append((lam, amp, law(lam), want))
         side = "saddle" if want_index == 1 else "attractor"
         checks.append(CheckResult(
             f"morse-index-{side}", want_index, s.morse_index, 0,
@@ -458,13 +459,8 @@ def _scenario_gsh_transcritical(cfg: ExperimentConfig, out: Path | None):
         ))
     deltas = [-0.1, -0.08, -0.05, -0.02, 0.02, 0.05, 0.08, 0.1]
     lams = [lam_c + dl for dl in deltas]
-    amps = []
-    for lam in lams:
-        _s, amp = solve_at(lam)
-        amps.append(amp)
-        rows.append((lam, amp, law(lam), balance(lam)))
+    amps = np.array([solve_at(lam)[1] for lam in lams])
     beta = np.asarray(lams) - lam_c
-    amps = np.asarray(amps)
     coeffs = np.polyfit(beta, amps, 1)
     fit = np.polyval(coeffs, beta)
     lin_resid = float(np.max(np.abs(amps - fit)) / np.max(np.abs(amps)))
@@ -489,8 +485,10 @@ def _scenario_gsh_transcritical(cfg: ExperimentConfig, out: Path | None):
     ))
     artifacts = []
     if out is not None:
+        rows = sorted((lam, amp, law(lam), balance(lam))
+                      for lam, (_s, amp) in solved.items())
         artifacts.append(_write_csv(out / "gsh-transcritical.csv",
-                                    "lambda,amplitude,law,balance", sorted(rows)))
+                                    "lambda,amplitude,law,balance", rows))
     return checks, artifacts
 
 

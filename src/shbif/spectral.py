@@ -9,12 +9,14 @@ Fields are stored in the orthonormal eigenbasis of (I + Laplace)^2 on the box
 * ``periodic``: phi_K together with psi_K = sqrt(2/V) cos((2 pi / L) K.x);
   the zero mode (constants) is excluded throughout.
 
-Nonlinear products are evaluated pointwise on a grid padded by a factor two
-relative to the collocation grid and projected back onto the retained band.
-With the band limited to grid_n/4 per axis this makes cubic products exact on
-the band.  For dirichlet the product of two sine series is re-expanded in the
-half-range sine series through its (finite) cosine series, so square() returns
-the exact L^2 projection rather than an interpolant.
+Nonlinear products are evaluated pointwise on a product grid sized from the
+band alone and projected back onto the retained band; they are exact there.
+A cubic product of Fourier content in [-b, b] reaches 3b, and on M points a
+wavenumber k aliases to k +- M, which misses [-b, b] once M >= 4b + 1.  The
+DST-I on P points aliases k to 2(P + 1) - k, so P >= 2b suffices.  For
+dirichlet the product of two sine series is re-expanded in the half-range sine
+series through its (finite) cosine series, so square() returns the exact L^2
+projection rather than an interpolant.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import scipy.fft as sfft
 from .errors import AliasingError, DomainMismatch
 
 _DEFAULT_GRID = {1: 512, 2: 256, 3: 128}
-_PAD = 2
 
 
 class BoundaryCondition(str, Enum):
@@ -396,15 +397,20 @@ def _embed_indices(band, n_target):
     return [np.arange(-b, b + 1) % m for b, m in zip(band, n_target)]
 
 
+def _half_indices(band, sizes):
+    """Index of the band's half-spectrum (last wavenumber 0..b) in an rfftn array."""
+    return np.ix_(*_embed_indices(band[:-1], sizes[:-1]), np.arange(band[-1] + 1))
+
+
 def _fourier_synthesis(data: np.ndarray, domain: Domain, sizes) -> np.ndarray:
-    C = np.zeros(sizes, dtype=complex)
-    C[np.ix_(*_embed_indices(domain.band, sizes))] = data
-    return sfft.ifftn(C).real * float(np.prod(sizes))
+    H = np.zeros((*sizes[:-1], sizes[-1] // 2 + 1), dtype=complex)
+    H[_half_indices(domain.band, sizes)] = data[..., domain.band[-1]:]
+    return sfft.irfftn(H, s=sizes) * float(np.prod(sizes))
 
 
 def _fourier_analysis(values: np.ndarray, domain: Domain) -> np.ndarray:
-    C = sfft.fftn(values) / values.size
-    c = C[np.ix_(*_embed_indices(domain.band, values.shape))]
+    h = (sfft.rfftn(values) / values.size)[_half_indices(domain.band, values.shape)]
+    c = np.concatenate((np.conj(np.flip(h[..., 1:])), h), axis=-1)
     c = 0.5 * (c + np.conj(np.flip(c)))
     center = tuple(b for b in domain.band)
     c[center] = 0.0
@@ -448,14 +454,18 @@ def _check_alias(domain: Domain):
 
 
 def _padded_values(f: SpectralField) -> np.ndarray:
-    """Synthesize on the product grid (padding factor 2 per axis)."""
+    """Synthesize on the product grid, whose size depends on the band alone.
+
+    Fourier axes get next_fast_len(4b + 1) points, so the content of a cubic
+    product (up to 3b) aliases outside [-b, b]; dirichlet gets 2b DST-I
+    points, since k aliases to 2(2b + 1) - k > b for k <= 3b.
+    """
     d = f.domain
     if d.is_dirichlet:
-        P = _PAD * d.grid_n[0]
-        a = np.zeros(P)
+        a = np.zeros(2 * d.band[0])
         a[: d.band[0]] = f.data * _lattice(d).scale
         return sfft.dst(a, type=1) / 2.0
-    sizes = tuple(_PAD * n for n in d.grid_n)
+    sizes = tuple(sfft.next_fast_len(4 * b + 1, real=True) for b in d.band)
     return _fourier_synthesis(f.data, d, sizes)
 
 

@@ -12,6 +12,7 @@ from shbif import oracles
 from shbif.errors import AliasingError, DomainMismatch
 from shbif.spectral import (
     Domain,
+    GridField,
     Mode,
     SpectralField,
     cube,
@@ -93,6 +94,69 @@ def test_cube_matches_convolution_oracle(data):
         min_size=len(chosen), max_size=len(chosen)))
     f = SpectralField.from_modes(domain, dict(zip(chosen, amps)))
     assert oracles.compare_coeffs(cube(f), oracles.cube_oracle(f)) <= 1e-12
+
+
+def _band_edge_field(domain, rng):
+    """Unit-norm field on the modes with some |k_i| equal to the band."""
+    probe = random_field(domain, rng, 1.0, smooth=False)
+    edge = [m for m in probe.modes(tol=-1.0)
+            if any(abs(k) == b for k, b in zip(m.k, domain.band))]
+    f = SpectralField.from_modes(domain, {m: rng.uniform(-1.0, 1.0) for m in edge})
+    return f * (1.0 / f.norm())
+
+
+def _triple_oracle(f, g, h):
+    rep = oracles.conv(oracles.conv(oracles.exp_rep(f), oracles.exp_rep(g)),
+                       oracles.exp_rep(h))
+    return oracles.rep_to_coeffs(rep, f.domain)
+
+
+@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: f"{d.bc.value}-{d.dim}d")
+def test_products_exact_at_band_edge(domain, rng):
+    # cubic content of band-edge modes reaches 3 x band, the most the
+    # product grid must keep from aliasing back onto the band
+    f, g, h = (_band_edge_field(domain, rng) for _ in range(3))
+    assert oracles.compare_coeffs(cube(f), oracles.cube_oracle(f)) <= 1e-12
+    assert oracles.compare_coeffs(triple(f, g, h), _triple_oracle(f, g, h)) <= 1e-12
+    sq = square(f)
+    if domain.is_dirichlet:
+        for n in range(1, domain.band[0] + 1):
+            assert abs(sq.coeff(n) - oracles.square_quadrature_oracle(f, n)) <= 1e-12
+    else:
+        assert oracles.compare_coeffs(sq, oracles.square_oracle(f)) <= 1e-12
+
+
+@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: f"{d.bc.value}-{d.dim}d")
+def test_product_grid_depends_on_band_only(domain, rng):
+    wide = Domain.make(domain.dim, domain.length, domain.bc,
+                       grid_n=tuple(4 * n for n in domain.grid_n), band=domain.band)
+    flat = random_field(domain, rng, 1.0, smooth=False).to_flat()
+    a = cube(SpectralField.from_flat(domain, flat)).data
+    b = cube(SpectralField.from_flat(wide, flat)).data
+    assert np.array_equal(a, b)  # same product grid, so the same arithmetic
+
+
+def _cube_on_fewer_points(f):
+    """u^3 collocated on one point fewer per axis than the product grid bound."""
+    d = f.domain
+    if d.is_dirichlet:
+        B, L = d.band[0], d.length[0]
+        P = 2 * B - 1
+        S = np.sin(np.outer(np.arange(1, P + 1), np.arange(1, B + 1)) * math.pi / (P + 1))
+        s = math.sqrt(2.0 / L)
+        u = S @ (f.data * s)
+        return SpectralField(d, 2.0 / (P + 1) * (S.T @ u**3) / s)
+    coarse = Domain.make(d.dim, d.length, d.bc, grid_n=tuple(4 * b for b in d.band),
+                         band=d.band)
+    u = to_grid(SpectralField(coarse, f.data)).values
+    return SpectralField(d, to_spectral(GridField(coarse, u**3)).data)
+
+
+@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: f"{d.bc.value}-{d.dim}d")
+def test_product_grid_bound_is_tight(domain, rng):
+    # 4b Fourier points (2b - 1 DST-I points) alias 3b content onto the band
+    f = _band_edge_field(domain, rng)
+    assert oracles.compare_coeffs(_cube_on_fewer_points(f), oracles.cube_oracle(f)) > 1e-6
 
 
 def test_square_dirichlet_quadrature():
