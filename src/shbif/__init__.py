@@ -12,7 +12,6 @@ from .dynamics import (
     step,
 )
 from .errors import (
-    AliasingError,
     BandTooSmall,
     DegenerateQuadratic,
     DegenerateState,

@@ -33,6 +33,7 @@ from .spectral import (
     BoundaryCondition,
     Domain,
     SpectralField,
+    _product_maps,
     cube,
     inner,
     lattice_symbol,
@@ -97,31 +98,46 @@ def _weights(domain: Domain, lam: float, dt: float):
     return np.exp(z), dt * _phi1(z), dt * _phi2(z)
 
 
-def _nonlinear(u: SpectralField, p: Params) -> SpectralField:
-    n = -1.0 * cube(u)
-    if p.mu != 0.0:
-        n = n + p.mu * square(u)
-    return n
+def _etd_kernel(domain: Domain, p: Params, dt: float, scheme: str):
+    """The one ETD step, on coefficient arrays: x -> x advanced by dt.
+
+    step and integrate both advance through it.  Overflow is not checked
+    here; callers test the result with isfinite under np.errstate.
+    """
+    E, f1, f2 = _weights(domain, p.lam, dt)
+    synthesize, odd, even = _product_maps(domain)
+    mu = p.mu
+
+    def nonlinear(x):
+        g = synthesize(x)
+        n = -odd(g * g * g)
+        if mu != 0.0:
+            n = n + mu * even(g * g)
+        return n
+
+    def etd1(x):
+        return E * x + f1 * nonlinear(x)
+
+    def etdrk2(x):
+        nx = nonlinear(x)
+        a = E * x + f1 * nx
+        return a + f2 * (nonlinear(a) - nx)
+
+    return etd1 if scheme == "etd1" else etdrk2
 
 
 def step(u: SpectralField, p: Params, dt: float, *, scheme: str = "etdrk2",
          include_nonlinear: bool = True) -> SpectralField:
     """Advance one time step. include_nonlinear=False gives the pure linear flow."""
     check_params(u.domain, p)
-    E, f1, f2 = _weights(u.domain, p.lam, dt)
     if not include_nonlinear:
+        E, _, _ = _weights(u.domain, p.lam, dt)
         return SpectralField(u.domain, E * u.data)
     with np.errstate(over="ignore", invalid="ignore"):
-        nu = _nonlinear(u, p)
-        a = SpectralField(u.domain, E * u.data + f1 * nu.data)
-        if scheme == "etd1":
-            out = a
-        else:
-            na = _nonlinear(a, p)
-            out = SpectralField(u.domain, a.data + f2 * (na.data - nu.data))
-    if not np.all(np.isfinite(out.data)):
+        out = _etd_kernel(u.domain, p, dt, scheme)(u.data)
+    if not np.all(np.isfinite(out)):
         raise NonFinite("state overflowed during time step")
-    return out
+    return SpectralField(u.domain, out)
 
 
 def lyapunov(u: SpectralField, p: Params) -> float:
@@ -229,42 +245,47 @@ def integrate(u0: SpectralField, p: Params, cfg: StepperConfig) -> RunReport:
     worst = 1.0 if psi0 > 0 else 0.0
     worst_p = worst
 
-    u = u0
+    domain = u0.domain
+    advance = _etd_kernel(domain, p, cfg.dt, cfg.scheme)
+    x = u0.data
     nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
     sample_dt = cfg.dt * cfg.sample_every
     quiet = 0
     stopped = False
     prev_sample = u0
 
-    def finish(partial=False):
+    def finish(u):
         bc = BoundCheck(regime, worst, worst_p)
         return RunReport(
             np.asarray(times), np.asarray(norms), np.asarray(lyap),
             bc, u, lam_c, p, stopped_steady=stopped,
         )
 
-    for k in range(1, nsteps + 1):
-        try:
-            u = step(u, p, cfg.dt, scheme=cfg.scheme)
-        except NonFinite as err:
-            err.report = finish(partial=True)
-            raise
-        if k % cfg.sample_every == 0 or k == nsteps:
-            t = k * cfg.dt
-            times.append(t)
-            norms.append(u.norm())
-            lyap.append(lyapunov(u, p))
-            if psi0 > 0:
-                r, rp = _bound_ratios(regime, p.lam, lam_c, vol, psi0, t, norms[-1] ** 2)
-                worst = max(worst, r)
-                worst_p = max(worst_p, rp)
-            dudt = (u - prev_sample).norm() / sample_dt
-            prev_sample = u
-            quiet = quiet + 1 if dudt < 1e-9 else 0
-            if quiet >= 10:
-                stopped = True
-                break
-    return finish()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, nsteps + 1):
+            nxt = advance(x)
+            if not np.all(np.isfinite(nxt)):
+                err = NonFinite("state overflowed during time step")
+                err.report = finish(SpectralField(domain, x))
+                raise err
+            x = nxt
+            if k % cfg.sample_every == 0 or k == nsteps:
+                u = SpectralField(domain, x)
+                t = k * cfg.dt
+                times.append(t)
+                norms.append(u.norm())
+                lyap.append(lyapunov(u, p))
+                if psi0 > 0:
+                    r, rp = _bound_ratios(regime, p.lam, lam_c, vol, psi0, t, norms[-1] ** 2)
+                    worst = max(worst, r)
+                    worst_p = max(worst_p, rp)
+                dudt = (u - prev_sample).norm() / sample_dt
+                prev_sample = u
+                quiet = quiet + 1 if dudt < 1e-9 else 0
+                if quiet >= 10:
+                    stopped = True
+                    break
+    return finish(SpectralField(domain, x))
 
 
 def basin_probe(p: Params, seeds, *, references=None, t_max: float = 400.0,

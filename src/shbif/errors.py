@@ -9,10 +9,6 @@ class DomainMismatch(ShbifError):
     """Two fields with incompatible domains were combined."""
 
 
-class AliasingError(ShbifError):
-    """Grid too small to form dealiased nonlinear products for the band."""
-
-
 class BandTooSmall(ShbifError):
     """Retained band does not contain the minimizers of the quartic symbol."""
 

@@ -430,17 +430,17 @@ def _scenario_gsh_transcritical(cfg: ExperimentConfig, out: Path | None):
         return transcritical_amplitude(lam - lam_c, mu)
 
     checks = []
-    solved = {}  # lambda -> (stability, amplitude); the sweep reuses 8.9 and 9.1
+    solved = {}  # lambda -> (state, amplitude); the sweep reuses 8.9 and 9.1
 
     def solve_at(lam):
         if lam not in solved:
-            seed = (law(lam) / phys) * phi1
-            s = stability(newton(seed, Params(lam, mu)))
+            s = newton((law(lam) / phys) * phi1, Params(lam, mu))
             solved[lam] = s, s.state.coeff(1) * phys
         return solved[lam]
 
     for lam, want_index in ((8.9, 1), (9.1, 0)):
-        s, amp = solve_at(lam)
+        state, amp = solve_at(lam)
+        s = stability(state)
         want = balance(lam)
         rel = abs(amp - want) / abs(want)
         side = "saddle" if want_index == 1 else "attractor"

@@ -12,10 +12,14 @@ Fields are stored in the orthonormal eigenbasis of (I + Laplace)^2 on the box
 Nonlinear products are evaluated pointwise on a product grid sized from the
 band alone and projected back onto the retained band; they are exact there.
 A cubic product of Fourier content in [-b, b] reaches 3b, and on M points a
-wavenumber k aliases to k +- M, which misses [-b, b] once M >= 4b + 1.  The
-DST-I on P points aliases k to 2(P + 1) - k, so P >= 2b suffices.  For
-dirichlet the product of two sine series is re-expanded in the half-range sine
-series through its (finite) cosine series, so square() returns the exact L^2
+wavenumber k aliases to k +- M, which misses [-b, b] once M >= 4b + 1: Fourier
+axes use real FFTs on next_fast_len(4b + 1) points.  Dirichlet products use
+P = 2b points, where the sine series aliases k to 2(P + 1) - k > b for k <= 3b,
+and three dense matrices built in closed form per (band, length), cheaper than
+an FFT call at these sizes: the synthesis S[j, n] = sqrt(2/L) sin(pi j n /
+(P + 1)), the odd projection (the inverse of S on the band) for cubes, and the
+even projection for squares, which re-expands the product's finite cosine
+series in the half-range sine series, so square() returns the exact L^2
 projection rather than an interpolant.
 """
 
@@ -24,12 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import AliasingError, DomainMismatch
+from .errors import DomainMismatch
 
 _DEFAULT_GRID = {1: 512, 2: 256, 3: 128}
 
@@ -82,8 +86,11 @@ class Domain:
         for b, n in zip(self.band, self.grid_n):
             if b < 1:
                 raise ValueError("band must be >= 1")
-            if b > n // 2:
+            if self.bc is BoundaryCondition.DIRICHLET and b > n // 2:
                 raise ValueError("band must not exceed grid_n / 2")
+            # on grid_n points the modes +-band share one bin at band = grid_n / 2
+            if self.bc is not BoundaryCondition.DIRICHLET and 2 * b + 1 > n:
+                raise ValueError("band must be below grid_n / 2 on periodic axes")
 
     @staticmethod
     def make(dim, length, bc, grid_n=None, band=None) -> "Domain":
@@ -444,98 +451,92 @@ def to_spectral(g: GridField) -> SpectralField:
 # dealiased products
 # ---------------------------------------------------------------------------
 
-def _check_alias(domain: Domain):
-    for n, b in zip(domain.grid_n, domain.band):
-        if n < 4 * b:
-            raise AliasingError(
-                f"grid_n {domain.grid_n} < 4 x band {domain.band}: "
-                "cubic products would alias into the retained band"
-            )
-
-
-def _padded_values(f: SpectralField) -> np.ndarray:
-    """Synthesize on the product grid, whose size depends on the band alone.
-
-    Fourier axes get next_fast_len(4b + 1) points, so the content of a cubic
-    product (up to 3b) aliases outside [-b, b]; dirichlet gets 2b DST-I
-    points, since k aliases to 2(2b + 1) - k > b for k <= 3b.
-    """
-    d = f.domain
-    if d.is_dirichlet:
-        a = np.zeros(2 * d.band[0])
-        a[: d.band[0]] = f.data * _lattice(d).scale
-        return sfft.dst(a, type=1) / 2.0
-    sizes = tuple(sfft.next_fast_len(4 * b + 1, real=True) for b in d.band)
-    return _fourier_synthesis(f.data, d, sizes)
-
-
-@lru_cache(maxsize=None)
-def _sine_projection_matrix(domain: Domain) -> np.ndarray:
+def _sine_projection_matrix(band: int, length: float) -> np.ndarray:
     """R[q, n-1] = <cos(q pi x / L), phi_n> for the half-range re-expansion."""
-    L = domain.length[0]
-    B = domain.band[0]
-    q = np.arange(0, 2 * B + 1)[:, None].astype(float)
-    n = np.arange(1, B + 1)[None, :].astype(float)
+    q = np.arange(0, 2 * band + 1)[:, None].astype(float)
+    n = np.arange(1, band + 1)[None, :].astype(float)
     odd = (q + n) % 2 == 1
-    R = np.zeros((2 * B + 1, B))
+    R = np.zeros((2 * band + 1, band))
     denom = np.where(odd, n**2 - q**2, 1.0)
-    R[odd] = (math.sqrt(2.0 / L) * (L / math.pi) * 2.0 * n / denom)[odd]
+    R[odd] = (math.sqrt(2.0 / length) * (length / math.pi) * 2.0 * n / denom)[odd]
     return R
 
 
-def _band_from_padded(values: np.ndarray, domain: Domain, parity: str) -> np.ndarray:
-    """Project padded-grid values back onto the retained band.
+@lru_cache(maxsize=None)
+def _dirichlet_matrices(band: int, length: float):
+    """(S, odd, even) for dirichlet products on P = 2 band DST-I points.
 
-    parity 'odd' means the product extends oddly (sine content only for
-    dirichlet), 'even' means it extends evenly and, for dirichlet, must be
-    re-expanded in the half-range sine series.
+    S (P x B) synthesises the field at x_j = j L / (P + 1); odd (B x P)
+    projects sine content back onto phi_1..phi_B; even (B x P) takes the
+    cosine series of an even product (q = 0..2B, q = 0 halved) and
+    re-expands it in the half-range sine series.
+    """
+    P = 2 * band
+    j = np.arange(1, P + 1)
+    # reduce j n and q j mod 2(P + 1) so sin and cos see small arguments
+    sines = np.sin(math.pi * (np.outer(j, np.arange(1, band + 1)) % (2 * P + 2)) / (P + 1))
+    S = math.sqrt(2.0 / length) * sines
+    odd = S.T * (length / (P + 1))  # S.T S = (P + 1) / L on the band
+    C = np.cos(math.pi * (np.outer(np.arange(2 * band + 1), j) % (2 * P + 2)) / (P + 1))
+    C *= 2.0 / (P + 1)
+    C[0] *= 0.5
+    even = _sine_projection_matrix(band, length).T @ C
+    for m in (S, odd, even):
+        m.flags.writeable = False  # shared by every caller through the cache
+    return S, odd, even
+
+
+@lru_cache(maxsize=None)
+def _product_maps(domain: Domain):
+    """(synthesize, project_odd, project_even) between band coefficients and
+    values on the product grid, whose size depends on the band alone.
+
+    Fourier axes get next_fast_len(4b + 1) points, so the content of a cubic
+    product (up to 3b) aliases outside [-b, b].  'odd' projects a product
+    that extends oddly (a cube, or a field times an even weight), 'even' one
+    that extends evenly (a square); the even part of an odd-periodic product
+    lies outside the sine basis and projects to zero.
     """
     if domain.is_dirichlet:
-        P = values.shape[0]
-        B = domain.band[0]
-        if parity == "odd":
-            a = sfft.dst(values, type=1) / (P + 1)
-            return a[:B] / _lattice(domain).scale
-        closed = np.concatenate(([0.0], values, [0.0]))
-        dq = sfft.dct(closed, type=1) / (P + 1)
-        dq[0] *= 0.5
-        dq[-1] *= 0.5
-        dq = dq[: 2 * B + 1]
-        return dq @ _sine_projection_matrix(domain)
-    if domain.bc is BoundaryCondition.ODD_PERIODIC and parity == "even":
-        return np.zeros(_lattice(domain).shape, dtype=complex)
-    return _fourier_analysis(values, domain)
+        S, odd, even = _dirichlet_matrices(domain.band[0], domain.length[0])
+        return (lambda x: S @ x), (lambda v: odd @ v), (lambda v: even @ v)
+    sizes = tuple(sfft.next_fast_len(4 * b + 1, real=True) for b in domain.band)
+    synthesize = partial(_fourier_synthesis, domain=domain, sizes=sizes)
+    project = partial(_fourier_analysis, domain=domain)
+    if domain.bc is BoundaryCondition.ODD_PERIODIC:
+        shape = _lattice(domain).shape
+        return synthesize, project, lambda v: np.zeros(shape, dtype=complex)
+    return synthesize, project, project
 
 
 def cube(f: SpectralField) -> SpectralField:
     """Spectral coefficients of u^3, exact on the retained band."""
-    _check_alias(f.domain)
-    g = _padded_values(f)
-    return SpectralField(f.domain, _band_from_padded(g * g * g, f.domain, "odd"))
+    synthesize, odd, _ = _product_maps(f.domain)
+    g = synthesize(f.data)
+    return SpectralField(f.domain, odd(g * g * g))
 
 
 def square(f: SpectralField) -> SpectralField:
     """Spectral coefficients of u^2 projected onto the retained basis."""
-    _check_alias(f.domain)
-    g = _padded_values(f)
-    return SpectralField(f.domain, _band_from_padded(g * g, f.domain, "even"))
+    synthesize, _, even = _product_maps(f.domain)
+    g = synthesize(f.data)
+    return SpectralField(f.domain, even(g * g))
 
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Projection of the pointwise product f*g."""
     f._check(g)
-    _check_alias(f.domain)
-    w = _padded_values(f) * _padded_values(g)
-    return SpectralField(f.domain, _band_from_padded(w, f.domain, "even"))
+    synthesize, _, even = _product_maps(f.domain)
+    return SpectralField(f.domain, even(synthesize(f.data) * synthesize(g.data)))
 
 
 def triple(f: SpectralField, g: SpectralField, h: SpectralField) -> SpectralField:
     """Projection of the pointwise product f*g*h (exact on the band)."""
     f._check(g)
     f._check(h)
-    _check_alias(f.domain)
-    w = _padded_values(f) * _padded_values(g) * _padded_values(h)
-    return SpectralField(f.domain, _band_from_padded(w, f.domain, "odd"))
+    synthesize, odd, _ = _product_maps(f.domain)
+    return SpectralField(f.domain, odd(synthesize(f.data) * synthesize(g.data)
+                                       * synthesize(h.data)))
 
 
 def inner(f: SpectralField, g: SpectralField) -> float:

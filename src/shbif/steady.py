@@ -34,10 +34,9 @@ from .spectral import (
     BoundaryCondition,
     Domain,
     SpectralField,
-    _band_from_padded,
     _embed_indices,
     _lattice,
-    _padded_values,
+    _product_maps,
     cube,
     inner,
     random_field,
@@ -96,15 +95,16 @@ class _Jacobian:
         self.domain = u.domain
         self.p = p
         self.beta = growth_array(u.domain, p.lam)
-        gu = _padded_values(u)
+        self.synthesize, self.odd, self.even = _product_maps(u.domain)
+        gu = self.synthesize(u.data)
         self.w_odd = -3.0 * gu * gu
         self.w_even = 2.0 * p.mu * gu if p.mu != 0.0 else None
 
     def apply(self, v: SpectralField) -> SpectralField:
-        gv = _padded_values(v)
-        data = self.beta * v.data + _band_from_padded(self.w_odd * gv, self.domain, "odd")
+        gv = self.synthesize(v.data)
+        data = self.beta * v.data + self.odd(self.w_odd * gv)
         if self.w_even is not None:
-            data = data + _band_from_padded(self.w_even * gv, self.domain, "even")
+            data = data + self.even(self.w_even * gv)
         return SpectralField(self.domain, data)
 
     def apply_flat(self, x: np.ndarray) -> np.ndarray:

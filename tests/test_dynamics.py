@@ -143,12 +143,29 @@ def test_lyapunov_negative_at_bifurcated_state():
 
 
 def test_nonfinite_carries_partial_report():
-    p = Params(9.5)
     u0 = 5.0 * eigenfunction(D, 1)
-    with pytest.raises(NonFinite) as exc:
-        integrate(u0, p, StepperConfig(dt=50.0, t_end=500.0, sample_every=1))
-    assert exc.value.report is not None
-    assert len(exc.value.report.times) >= 1
+    for mu in (0.0, 0.5):
+        with pytest.raises(NonFinite) as exc:
+            integrate(u0, Params(9.5, mu), StepperConfig(dt=50.0, t_end=500.0, sample_every=1))
+        report = exc.value.report
+        assert report is not None
+        assert len(report.times) >= 1
+        assert np.all(np.isfinite(report.final_state.data))  # the last state before overflow
+
+
+@pytest.mark.parametrize("scheme", ["etd1", "etdrk2"])
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_integrate_matches_repeated_steps(scheme, mu, rng):
+    # integrate and step advance through the same kernel
+    p = Params(9.5, mu)
+    u0 = random_field(D, rng, 1.0, unit_norm=True)
+    n, dt = 300, 2e-3
+    rep = integrate(u0, p, StepperConfig(dt=dt, t_end=n * dt, scheme=scheme, sample_every=40))
+    u = u0
+    for _ in range(n):
+        u = step(u, p, dt, scheme=scheme)
+    assert rep.times[-1] == pytest.approx(n * dt)
+    assert np.max(np.abs(rep.final_state.data - u.data)) <= 1e-14
 
 
 def test_basin_probe_pitchfork():

@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from shbif import oracles
-from shbif.errors import AliasingError, DomainMismatch
+from shbif.errors import DomainMismatch
 from shbif.spectral import (
     Domain,
     GridField,
@@ -243,13 +243,14 @@ def test_triple_matches_cube(rng):
     assert np.max(np.abs(triple(f, f, f).data - cube(f).data)) <= 1e-14
 
 
-def test_aliasing_error():
-    d = Domain.make(1, math.pi, "dirichlet", grid_n=16, band=8)  # band > grid/4
-    f = SpectralField.from_modes(d, {1: 1.0})
-    with pytest.raises(AliasingError):
-        cube(f)
-    with pytest.raises(AliasingError):
-        square(f)
+def test_products_exact_on_coarse_collocation_grid(rng):
+    # products run on 2 x band points whatever grid_n is, so band = grid_n / 2 is fine
+    d = Domain.make(1, math.pi, "dirichlet", grid_n=16, band=8)
+    f = random_field(d, rng, 1.0, smooth=False, unit_norm=True)
+    assert oracles.compare_coeffs(cube(f), oracles.cube_oracle(f)) <= 1e-12
+    sq = square(f)
+    for n in range(1, d.band[0] + 1):
+        assert abs(sq.coeff(n) - oracles.square_quadrature_oracle(f, n)) <= 1e-12
 
 
 def test_domain_validation():
@@ -261,6 +262,14 @@ def test_domain_validation():
         Domain.make(1, -1.0, "dirichlet")
     with pytest.raises(ValueError):
         Domain.make(1, 1.0, "nonsense")
+    # on periodic axes +-band must not share the Nyquist bin of grid_n points
+    for bc in ("periodic", "odd-periodic"):
+        with pytest.raises(ValueError):
+            Domain.make(1, 2 * math.pi, bc, grid_n=8, band=4)
+        with pytest.raises(ValueError):
+            Domain.make(2, 2 * math.pi, bc, grid_n=(16, 8), band=(4, 4))
+        assert Domain.make(1, 2 * math.pi, bc, grid_n=8, band=3).band == (3,)
+    assert Domain.make(1, 1.0, "dirichlet", grid_n=8, band=4).band == (4,)
 
 
 def test_mode_normalization():
