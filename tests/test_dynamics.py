@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from shbif import dynamics
 from shbif.dynamics import (
     Params,
     StepperConfig,
@@ -16,7 +17,16 @@ from shbif.dynamics import (
 )
 from shbif.errors import NonFinite, RangeError
 from shbif.linear_analysis import eigenfunction, growth_rate
-from shbif.spectral import Domain, SpectralField, random_field
+from shbif.spectral import (
+    Domain,
+    SpectralField,
+    _product_maps,
+    cube,
+    inner,
+    lattice_symbol,
+    random_field,
+    square,
+)
 from shbif.steady import newton
 
 D = Domain.make(1, math.pi / 2, "dirichlet", grid_n=64, band=16)
@@ -134,6 +144,30 @@ def test_lyapunov_zero_and_decrease(rng):
         f_new = lyapunov(u, p)
         assert f_new <= f_prev + 1e-10
         f_prev = f_new
+
+
+@pytest.mark.parametrize("grid_n,band", [(64, 16), (32, 16), (16, 8)])
+def test_lyapunov_quartic_quadrature_exact(rng, grid_n, band):
+    d = Domain.make(1, 2.3, "dirichlet", grid_n=grid_n, band=band)
+    u = random_field(d, rng, 3.0, smooth=False)
+    sym = lattice_symbol(d)
+    for mu in (0.0, 0.5):
+        p = Params(9.0, mu)
+        ref = (0.5 * float(sym @ u.data**2) - 0.5 * p.lam * float(u.data @ u.data)
+               + 0.25 * inner(cube(u), u) - (mu / 3.0) * inner(square(u), u))
+        assert lyapunov(u, p) == pytest.approx(ref, rel=1e-12)
+
+
+def test_energy_monitor_catches_wrong_cube(monkeypatch):
+    # a stepper whose cube projection is 20 % too large is still a gradient
+    # flow, of the wrong energy; the monitor must not share its operator
+    synthesize, odd, even = _product_maps(D)
+    monkeypatch.setattr(dynamics, "_product_maps",
+                        lambda d: (synthesize, lambda v: 1.2 * odd(v), even))
+    u0 = random_field(D, np.random.default_rng(1), 1.0, unit_norm=True)
+    cfg = StepperConfig(dt=1e-3, t_end=10.0, sample_every=50)
+    rep = integrate(u0, Params(9.5), cfg)
+    assert np.max(np.diff(rep.lyapunov_values)) > 1e-6
 
 
 def test_lyapunov_negative_at_bifurcated_state():
