@@ -37,7 +37,6 @@ from .linear_analysis import (
     EigenSummary,
     eigenfunction,
     growth_rate,
-    linear_symbol,
     principal,
 )
 from .reduced import (

@@ -26,38 +26,21 @@ from .spectral import (
     SpectralField,
     _coerce_mode,
     lattice_symbol,
-    symbol_flat,
     wavevector,
 )
 
 _TIE_TOL = 1e-12
 
 
-def quartic_symbol(domain: Domain, k) -> float:
-    """(1 - |kappa|^2)^2 for integer mode k."""
-    kap = wavevector(domain, k)
-    return float((1.0 - np.dot(kap, kap)) ** 2)
-
-
 def growth_rate(domain: Domain, mode, lam: float) -> float:
-    """beta_k(lambda) = lambda - (1 - |kappa|^2)^2."""
-    m, _ = _coerce_mode(domain, mode)
-    return lam - quartic_symbol(domain, m.k)
-
-
-def linear_symbol(domain: Domain, k, lam: float) -> float:
-    """Growth rate for a raw integer wavevector (stepper/Jacobian form)."""
-    return lam - quartic_symbol(domain, k)
+    """beta_k(lambda) = lambda - (1 - |kappa|^2)^2 for one mode or wavevector."""
+    kap = wavevector(domain, _coerce_mode(domain, mode)[0].k)
+    return lam - float((1.0 - np.dot(kap, kap)) ** 2)
 
 
 def growth_array(domain: Domain, lam: float) -> np.ndarray:
-    """beta over the storage layout of SpectralField.data."""
+    """beta over the flat coefficient vector of SpectralField.data."""
     return lam - lattice_symbol(domain)
-
-
-def growth_flat(domain: Domain, lam: float) -> np.ndarray:
-    """beta over the flat real coefficient layout."""
-    return lam - symbol_flat(domain)
 
 
 def eigenfunction(domain: Domain, mode) -> SpectralField:

@@ -9,6 +9,15 @@ Fields are stored in the orthonormal eigenbasis of (I + Laplace)^2 on the box
 * ``periodic``: phi_K together with psi_K = sqrt(2/V) cos((2 pi / L) K.x);
   the zero mode (constants) is excluded throughout.
 
+A field is stored as one real vector of basis coefficients for every
+boundary condition: y_n over n = 1..B, y_K over the half lattice, or (y_K,
+z_K) of phi_K and psi_K.  The basis is orthonormal, so norms and inner
+products are those of the vector.  Fourier transforms scatter the vector
+into the last-axis columns 0..b of an rfftn half-spectrum, with complex
+coefficient c_K = (z_K - i y_K) / sqrt(2V) at K and its conjugate at -K,
+and gather it back from there; the real part of a transformed real field
+and its parity need no separate symmetrisation.
+
 Nonlinear products are evaluated pointwise on a product grid sized from the
 band alone and projected back onto the retained band; they are exact there.
 A cubic product of Fourier content in [-b, b] reaches 3b, and on M points a
@@ -165,44 +174,34 @@ def wavevector(domain: Domain, k: tuple[int, ...]) -> np.ndarray:
 
 
 class _Lattice:
-    """Cached index machinery for one domain."""
+    """Cached index machinery for one domain: the modes of the flat layout.
+
+    kvecs lists the stored wavevectors in order: n = 1..B for dirichlet, the
+    half lattice (first nonzero component positive, row-major over the band
+    box) for the Fourier variants.  The flat vector holds one coefficient
+    per row of kvecs, sines first and then, for periodic, the cosines.
+    """
 
     def __init__(self, domain: Domain):
-        self.domain = domain
         if domain.is_dirichlet:
-            B = domain.band[0]
-            n = np.arange(1, B + 1, dtype=float)
-            kappa2 = (n * math.pi / domain.length[0]) ** 2
-            self.symbol = (1.0 - kappa2) ** 2
-            self.kappa2 = kappa2
-            self.shape = (B,)
-            self.nflat = B
+            kvecs = np.arange(1, domain.band[0] + 1)[:, None]
+            kappa = kvecs * math.pi / domain.length[0]
             self.scale = math.sqrt(2.0 / domain.length[0])
-            return
-        axes = [np.arange(-b, b + 1) for b in domain.band]
-        self.shape = tuple(2 * b + 1 for b in domain.band)
-        grids = np.meshgrid(*axes, indexing="ij")
-        kappa2 = np.zeros(self.shape)
-        for g, L in zip(grids, domain.length):
-            kappa2 += (2.0 * math.pi * g / L) ** 2
-        self.kgrids = grids
-        self.kappa2 = kappa2
-        self.symbol = (1.0 - kappa2) ** 2
-        # half lattice: first nonzero component positive
-        half = np.zeros(self.shape, dtype=bool)
-        undecided = np.ones(self.shape, dtype=bool)
-        for g in grids:
-            half |= undecided & (g > 0)
-            undecided &= g == 0
-        self.half_mask = half
-        self.half_idx = np.nonzero(half)
-        self.nhalf = int(half.sum())
-        self.nflat = self.nhalf * (2 if domain.bc is BoundaryCondition.PERIODIC else 1)
-        self.cscale = math.sqrt(2.0 * domain.volume)  # y = -cscale*Im(c), z = cscale*Re(c)
-        self.mode_pos = {}
-        for j, idx in enumerate(zip(*self.half_idx)):
-            kvec = tuple(int(g[idx]) for g in grids)
-            self.mode_pos[kvec] = j
+        else:
+            axes = [np.arange(-b, b + 1) for b in domain.band]
+            k = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+            first = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
+            kvecs = k[first > 0]
+            kappa = 2.0 * math.pi * kvecs / np.asarray(domain.length)
+            self.cscale = math.sqrt(2.0 * domain.volume)  # c_K = (z_K - i y_K) / cscale
+        symbol = (1.0 - np.sum(kappa**2, axis=1)) ** 2
+        self.kinds = ("sin", "cos") if domain.bc is BoundaryCondition.PERIODIC else ("sin",)
+        self.kvecs = kvecs
+        self.nhalf = len(kvecs)
+        self.nflat = self.nhalf * len(self.kinds)
+        self.symbol = np.tile(symbol, len(self.kinds))
+        self.symbol.flags.writeable = False  # shared by every caller through the cache
+        self.mode_pos = {tuple(kv): j for j, kv in enumerate(kvecs.tolist())}
 
 
 @lru_cache(maxsize=None)
@@ -211,19 +210,8 @@ def _lattice(domain: Domain) -> _Lattice:
 
 
 def lattice_symbol(domain: Domain) -> np.ndarray:
-    """(1-|kappa|^2)^2 over the stored band, in storage layout."""
+    """(1-|kappa|^2)^2 over the flat coefficient vector (read-only)."""
     return _lattice(domain).symbol
-
-
-def symbol_flat(domain: Domain) -> np.ndarray:
-    """(1-|kappa|^2)^2 over the flat real coefficient layout."""
-    lat = _lattice(domain)
-    if domain.is_dirichlet:
-        return lat.symbol.copy()
-    half = lat.symbol[lat.half_idx]
-    if domain.bc is BoundaryCondition.PERIODIC:
-        return np.concatenate([half, half])
-    return half.copy()
 
 
 @dataclass(eq=False)
@@ -231,8 +219,11 @@ class SpectralField:
     """Real field as coefficients in the orthonormal basis.
 
     Treat instances as immutable values; operations return new fields.
-    Storage: dirichlet uses a real vector over modes 1..B, the periodic
-    variants a centered hermitian complex cube over the band lattice.
+    Storage, for every boundary condition, is one real float64 vector of
+    length nflat: dirichlet holds the coefficients of phi_1..phi_B,
+    odd-periodic those of the sines phi_K over the half lattice, periodic
+    the sines and then the cosines psi_K over the half lattice.  Norms and
+    inner products are the Euclidean ones of this vector.
     """
 
     domain: Domain
@@ -241,99 +232,43 @@ class SpectralField:
     # -- constructors ------------------------------------------------
     @staticmethod
     def zeros(domain: Domain) -> "SpectralField":
-        lat = _lattice(domain)
-        if domain.is_dirichlet:
-            return SpectralField(domain, np.zeros(lat.shape))
-        return SpectralField(domain, np.zeros(lat.shape, dtype=complex))
+        return SpectralField(domain, np.zeros(_lattice(domain).nflat))
 
     @staticmethod
     def from_modes(domain: Domain, coeffs: dict) -> "SpectralField":
         lat = _lattice(domain)
-        if domain.is_dirichlet:
-            data = np.zeros(lat.shape)
-            for m, val in coeffs.items():
-                mode, sign = _coerce_mode(domain, m)
-                n = mode.k[0]
-                if n > domain.band[0]:
-                    raise ValueError(f"mode {n} outside retained band")
-                data[n - 1] += sign * float(val)
-            return SpectralField(domain, data)
-        y = np.zeros(lat.nhalf)
-        z = np.zeros(lat.nhalf)
+        data = np.zeros(lat.nflat)
         for m, val in coeffs.items():
             mode, sign = _coerce_mode(domain, m)
             pos = lat.mode_pos.get(mode.k)
             if pos is None:
                 raise ValueError(f"mode {mode.k} outside retained band")
-            if mode.kind == "sin":
-                y[pos] += sign * float(val)
-            else:
-                z[pos] += sign * float(val)
-        return _field_from_half(domain, y, z)
-
-    @staticmethod
-    def from_flat(domain: Domain, flat: np.ndarray) -> "SpectralField":
-        lat = _lattice(domain)
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (lat.nflat,):
-            raise ValueError("flat vector has wrong length")
-        if domain.is_dirichlet:
-            return SpectralField(domain, flat.copy())
-        if domain.bc is BoundaryCondition.PERIODIC:
-            y, z = flat[: lat.nhalf], flat[lat.nhalf :]
-        else:
-            y, z = flat, np.zeros(lat.nhalf)
-        return _field_from_half(domain, y, z)
+            data[pos + lat.kinds.index(mode.kind) * lat.nhalf] += sign * float(val)
+        return SpectralField(domain, data)
 
     # -- accessors ---------------------------------------------------
     def coeff(self, m) -> float:
         mode, sign = _coerce_mode(self.domain, m)
         lat = _lattice(self.domain)
-        if self.domain.is_dirichlet:
-            n = mode.k[0]
-            return float(sign * self.data[n - 1]) if n <= self.domain.band[0] else 0.0
         pos = lat.mode_pos.get(mode.k)
         if pos is None:
             return 0.0
-        c = self.data[tuple(ix[pos] for ix in lat.half_idx)]
-        if mode.kind == "sin":
-            return float(sign * (-lat.cscale) * c.imag)
-        return float(sign * lat.cscale * c.real)
+        return float(sign * self.data[pos + lat.kinds.index(mode.kind) * lat.nhalf])
 
     def modes(self, tol: float = 0.0) -> dict:
         """Map Mode -> coefficient for all entries with |coeff| > tol."""
         out = {}
         lat = _lattice(self.domain)
-        if self.domain.is_dirichlet:
-            for i, v in enumerate(self.data):
+        for j, kvec in enumerate(lat.kvecs.tolist()):
+            for which, kind in enumerate(lat.kinds):
+                v = self.data[j + which * lat.nhalf]
                 if abs(v) > tol:
-                    out[Mode("sin", (i + 1,))] = float(v)
-            return out
-        flat = self.to_flat()
-        kinds = ("sin",) if self.domain.bc is BoundaryCondition.ODD_PERIODIC else ("sin", "cos")
-        for j, kvec in enumerate(zip(*[g[lat.half_idx] for g in lat.kgrids])):
-            for which, kind in enumerate(kinds):
-                v = flat[j + which * lat.nhalf]
-                if abs(v) > tol:
-                    out[Mode(kind, tuple(int(x) for x in kvec))] = float(v)
+                    out[Mode(kind, tuple(kvec))] = float(v)
         return out
-
-    def to_flat(self) -> np.ndarray:
-        lat = _lattice(self.domain)
-        if self.domain.is_dirichlet:
-            return self.data.copy()
-        c = self.data[lat.half_idx]
-        y = -lat.cscale * c.imag
-        if self.domain.bc is BoundaryCondition.PERIODIC:
-            z = lat.cscale * c.real
-            return np.concatenate([y, z])
-        return y
 
     def norm(self) -> float:
         """L2 norm via Parseval."""
-        if self.domain.is_dirichlet:
-            return float(np.linalg.norm(self.data))
-        return math.sqrt(self.domain.volume * float(np.sum(np.abs(self.data) ** 2)))
+        return float(np.linalg.norm(self.data))
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.domain, self.data.copy())
@@ -358,14 +293,6 @@ class SpectralField:
         return SpectralField(self.domain, self.data * float(a))
 
     __rmul__ = __mul__
-
-
-def _field_from_half(domain: Domain, y: np.ndarray, z: np.ndarray) -> SpectralField:
-    lat = _lattice(domain)
-    c = np.zeros(lat.shape, dtype=complex)
-    c[lat.half_idx] = (z - 1j * y) / lat.cscale
-    c = c + np.conj(np.flip(c))
-    return SpectralField(domain, c)
 
 
 @dataclass(eq=False)
@@ -400,30 +327,60 @@ def grid_coords(domain: Domain) -> list[np.ndarray]:
 # transforms
 # ---------------------------------------------------------------------------
 
-def _embed_indices(band, n_target):
-    return [np.arange(-b, b + 1) % m for b, m in zip(band, n_target)]
+@lru_cache(maxsize=None)
+def _spectrum_slots(domain: Domain, sizes: tuple[int, ...]):
+    """Where the flat vector lives in a pruned half-spectrum on `sizes`.
+
+    The half-spectrum is the rfftn array on the grid `sizes` cut to the
+    band's last-axis columns 0..b.  A stored K sits at K if its last
+    component is >= 0, else at -K with the conjugate coefficient.  Returns
+    (shape, dst, coef, plane, mirror): viewed as float pairs (re, im),
+    spectrum[dst] = flat * coef with c_K = (z_K - i y_K) / cscale, and the
+    complex cells `mirror` (the -K of last component 0) hold the conjugates
+    of the cells `plane`.
+    """
+    lat = _lattice(domain)
+    k = lat.kvecs
+    shape = (*sizes[:-1], domain.band[-1] + 1)
+
+    def cells(kv):
+        return np.ravel_multi_index(tuple((kv % np.asarray(sizes)).T), shape)
+
+    sign = np.where(k[:, -1] < 0, -1, 1)
+    cell = cells(k * sign[:, None])
+    dst, coef = [2 * cell + 1], [-sign / lat.cscale]  # sines: imaginary parts
+    if len(lat.kinds) == 2:  # cosines: real parts
+        dst.append(2 * cell)
+        coef.append(np.full(lat.nhalf, 1.0 / lat.cscale))
+    on_plane = k[:, -1] == 0
+    out = (np.concatenate(dst), np.concatenate(coef), cell[on_plane], cells(-k[on_plane]))
+    for a in out:
+        a.flags.writeable = False
+    return (shape, *out)
 
 
-def _half_indices(band, sizes):
-    """Index of the band's half-spectrum (last wavenumber 0..b) in an rfftn array."""
-    return np.ix_(*_embed_indices(band[:-1], sizes[:-1]), np.arange(band[-1] + 1))
+def _fourier_synthesis(x: np.ndarray, domain: Domain, sizes) -> np.ndarray:
+    """Grid values on `sizes` of the flat Fourier vector x.
 
-
-def _fourier_synthesis(data: np.ndarray, domain: Domain, sizes) -> np.ndarray:
-    H = np.zeros((*sizes[:-1], sizes[-1] // 2 + 1), dtype=complex)
-    H[_half_indices(domain.band, sizes)] = data[..., domain.band[-1]:]
-    return sfft.irfftn(H, s=sizes) * float(np.prod(sizes))
+    The non-last axes are transformed over the b + 1 columns that hold data
+    only; irfft zero-pads the rest of the last axis.
+    """
+    shape, dst, coef, plane, mirror = _spectrum_slots(domain, sizes)
+    spec = np.zeros(2 * math.prod(shape))
+    spec[dst] = x * coef
+    spec = spec.view(complex)
+    spec[mirror] = spec[plane].conj()
+    spec = sfft.ifftn(spec.reshape(shape), axes=range(domain.dim - 1), norm="forward",
+                      overwrite_x=True)
+    return sfft.irfft(spec, n=sizes[-1], norm="forward")
 
 
 def _fourier_analysis(values: np.ndarray, domain: Domain) -> np.ndarray:
-    h = (sfft.rfftn(values) / values.size)[_half_indices(domain.band, values.shape)]
-    c = np.concatenate((np.conj(np.flip(h[..., 1:])), h), axis=-1)
-    c = 0.5 * (c + np.conj(np.flip(c)))
-    center = tuple(b for b in domain.band)
-    c[center] = 0.0
-    if domain.bc is BoundaryCondition.ODD_PERIODIC:
-        c = 1j * c.imag
-    return c
+    """Flat Fourier vector of the band content of real grid values."""
+    shape, dst, coef, _, _ = _spectrum_slots(domain, values.shape)
+    spec = sfft.rfft(values, norm="forward")[..., : shape[-1]]
+    spec = sfft.fftn(spec, axes=range(domain.dim - 1), norm="forward", overwrite_x=True)
+    return np.ascontiguousarray(spec).view(float).reshape(-1)[dst] / coef
 
 
 def to_grid(f: SpectralField) -> GridField:
@@ -504,8 +461,8 @@ def _product_maps(domain: Domain):
     synthesize = partial(_fourier_synthesis, domain=domain, sizes=sizes)
     project = partial(_fourier_analysis, domain=domain)
     if domain.bc is BoundaryCondition.ODD_PERIODIC:
-        shape = _lattice(domain).shape
-        return synthesize, project, lambda v: np.zeros(shape, dtype=complex)
+        n = _lattice(domain).nflat
+        return synthesize, project, lambda v: np.zeros(n)
     return synthesize, project, project
 
 
@@ -542,21 +499,24 @@ def triple(f: SpectralField, g: SpectralField, h: SpectralField) -> SpectralFiel
 def inner(f: SpectralField, g: SpectralField) -> float:
     """L2 inner product <f, g>."""
     f._check(g)
-    if f.domain.is_dirichlet:
-        return float(f.data @ g.data)
-    return float(f.domain.volume * np.real(np.vdot(f.data, g.data)))
+    return float(f.data @ g.data)
 
 
 def translate(f: SpectralField, shifts: tuple[int, ...]) -> SpectralField:
-    """Translate a periodic field by integer grid shifts per axis."""
+    """Translate a periodic field by integer grid shifts per axis.
+
+    The shift rotates each (y_K, z_K) pair by the phase 2 pi K.s / grid_n.
+    Dirichlet and odd-periodic fields raise: a general shift leaves the
+    sine basis.
+    """
     d = f.domain
-    if d.is_dirichlet:
+    if d.bc is not BoundaryCondition.PERIODIC:
         raise ValueError("translation is only defined for periodic domains")
     lat = _lattice(d)
-    phase = np.zeros(lat.shape)
-    for g, s, n in zip(lat.kgrids, shifts, d.grid_n):
-        phase = phase + (-2.0 * math.pi * s / n) * g
-    return SpectralField(d, f.data * np.exp(1j * phase))
+    theta = lat.kvecs @ (2.0 * math.pi * np.asarray(shifts) / np.asarray(d.grid_n))
+    y, z = f.data[: lat.nhalf], f.data[lat.nhalf :]
+    c, s = np.cos(theta), np.sin(theta)
+    return SpectralField(d, np.concatenate([c * y + s * z, c * z - s * y]))
 
 
 def random_field(domain: Domain, rng: np.random.Generator, scale: float = 1.0,
@@ -568,8 +528,8 @@ def random_field(domain: Domain, rng: np.random.Generator, scale: float = 1.0,
     """
     flat = rng.standard_normal(_lattice(domain).nflat) * scale
     if smooth:
-        flat = flat / (1.0 + symbol_flat(domain))
-    f = SpectralField.from_flat(domain, flat)
+        flat = flat / (1.0 + lattice_symbol(domain))
+    f = SpectralField(domain, flat)
     if unit_norm:
         n = f.norm()
         if n > 0:

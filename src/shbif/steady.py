@@ -5,10 +5,9 @@ by Newton iteration with matrix-free inner solves.  The Jacobian
 
     J(u) v = (lambda - (1-|kappa|^2)^2) v + 2 mu u v - 3 u^2 v
 
-is self-adjoint, so the inner solver is preconditioned conjugate gradients
-with the diagonal preconditioner 1/(|beta_k| + 1); when negative curvature
-shows up (indefinite J near folds and saddles) the solve falls back to
-MINRES on the same preconditioner.  Stability uses dense symmetric
+is self-adjoint but indefinite (its high modes are strongly negative, and
+saddles add positive directions), so the inner solver is MINRES with the
+diagonal preconditioner 1/(|beta_k| + 1).  Stability uses dense symmetric
 eigendecomposition for small systems and a preconditioned block iteration
 (LOBPCG, ARPACK fallback) otherwise.
 """
@@ -19,7 +18,7 @@ import multiprocessing
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as sfft
+import scipy.fft as sfft  # noqa: F401  bench/tracing.py counts transforms through this name
 import scipy.sparse.linalg as spla
 
 from .dynamics import Params, check_params
@@ -29,12 +28,12 @@ from .errors import (
     NoConvergence,
     SingularJacobian,
 )
-from .linear_analysis import eigenfunction, growth_array, growth_flat, principal
+from .linear_analysis import eigenfunction, growth_array, principal
 from .spectral import (
     BoundaryCondition,
     Domain,
     SpectralField,
-    _embed_indices,
+    _fourier_synthesis,
     _lattice,
     _product_maps,
     cube,
@@ -100,70 +99,40 @@ class _Jacobian:
         self.w_odd = -3.0 * gu * gu
         self.w_even = 2.0 * p.mu * gu if p.mu != 0.0 else None
 
-    def apply(self, v: SpectralField) -> SpectralField:
-        gv = self.synthesize(v.data)
-        data = self.beta * v.data + self.odd(self.w_odd * gv)
-        if self.w_even is not None:
-            data = data + self.even(self.w_even * gv)
-        return SpectralField(self.domain, data)
-
-    def apply_flat(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """J x on coefficient vectors; (n, 1) columns are read as (n,)."""
         x = np.asarray(x, dtype=float).reshape(-1)
-        return self.apply(SpectralField.from_flat(self.domain, x)).to_flat()
+        gx = self.synthesize(x)
+        even = None if self.w_even is None else self.even(self.w_even * gx)
+        gx *= self.w_odd  # in place: one product-grid array fewer alive
+        out = self.beta * x + self.odd(gx)
+        return out if even is None else out + even
 
     def as_linear_operator(self) -> spla.LinearOperator:
         n = _lattice(self.domain).nflat
-        return spla.LinearOperator((n, n), matvec=self.apply_flat, dtype=float)
+        return spla.LinearOperator((n, n), matvec=self.apply, dtype=float)
 
 
 def jacobian_apply(u: SpectralField, p: Params, v: SpectralField) -> SpectralField:
     """Directional derivative of the steady residual at u in direction v."""
-    return _Jacobian(u, p).apply(v)
-
-
-def _pcg(apply_a, b, minv, rtol, maxiter):
-    """Preconditioned CG; returns (x, converged, hit_negative_curvature)."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = minv * r
-    pdir = z.copy()
-    rz = float(r @ z)
-    tol = rtol * float(np.linalg.norm(b))
-    for _ in range(maxiter):
-        ap = apply_a(pdir)
-        pap = float(pdir @ ap)
-        if pap <= 1e-14 * float(pdir @ pdir):
-            return x, False, True
-        alpha = rz / pap
-        x = x + alpha * pdir
-        r = r - alpha * ap
-        if float(np.linalg.norm(r)) <= tol:
-            return x, True, False
-        z = minv * r
-        rz_new = float(r @ z)
-        pdir = z + (rz_new / rz) * pdir
-        rz = rz_new
-    return x, False, False
+    return SpectralField(u.domain, _Jacobian(u, p).apply(v.data))
 
 
 def _solve_newton_system(jac: _Jacobian, rhs: np.ndarray, rtol: float,
                          maxiter: int = 500) -> np.ndarray:
-    minv = 1.0 / (np.abs(growth_flat(jac.domain, jac.p.lam)) + 1.0)
-    x, ok, _ = _pcg(jac.apply_flat, rhs, minv, rtol, maxiter)
-    if ok:
-        return x
+    minv = 1.0 / (np.abs(growth_array(jac.domain, jac.p.lam)) + 1.0)
     a = jac.as_linear_operator()
     n = a.shape[0]
     m = spla.LinearOperator((n, n), matvec=lambda v: minv * v, dtype=float)
     x, _info = spla.minres(a, rhs, rtol=max(rtol, 1e-12), maxiter=max(maxiter, 2 * n), M=m)
-    res = float(np.linalg.norm(jac.apply_flat(x) - rhs))
+    res = float(np.linalg.norm(jac.apply(x) - rhs))
     if res > 0.5 * float(np.linalg.norm(rhs)):
         raise SingularJacobian("inner solver stagnated (singular Jacobian)")
     return x
 
 
 def newton(u0: SpectralField, p: Params, *, tol: float = NEWTON_TOL,
-           max_iter: int = 50, cg_maxiter: int = 500) -> SteadyState:
+           max_iter: int = 50, krylov_maxiter: int = 500) -> SteadyState:
     """Newton iteration from u0; raises NoConvergence / SingularJacobian."""
     check_params(u0.domain, p)
     u = u0
@@ -177,7 +146,7 @@ def newton(u0: SpectralField, p: Params, *, tol: float = NEWTON_TOL,
         jac = _Jacobian(u, p)
         eta = min(0.1, max(1e-4, nf))
         try:
-            delta = _solve_newton_system(jac, -f.to_flat(), eta, cg_maxiter)
+            delta = _solve_newton_system(jac, -f.data, eta, krylov_maxiter)
         except SingularJacobian:
             # iterates collapsing onto the trivial branch hit a genuinely
             # singular Jacobian (double root at the bifurcation point); the
@@ -185,7 +154,7 @@ def newton(u0: SpectralField, p: Params, *, tol: float = NEWTON_TOL,
             if u.norm() < 1e-3:
                 return SteadyState(SpectralField.zeros(u.domain), 0.0, p.lam, p.mu)
             raise
-        dv = SpectralField.from_flat(u.domain, delta)
+        dv = SpectralField(u.domain, delta)
         s = 1.0
         for _ in range(11):
             u_try = u + s * dv
@@ -218,7 +187,7 @@ def _leading_eigs_lobpcg(jac: _Jacobian, k: int) -> np.ndarray:
     import warnings
 
     n = _lattice(jac.domain).nflat
-    beta = growth_flat(jac.domain, jac.p.lam)
+    beta = growth_array(jac.domain, jac.p.lam)
     idx = np.argsort(-beta)[:k]
     x0 = np.zeros((n, k))
     rng = np.random.default_rng(0)
@@ -259,7 +228,7 @@ def stability(s: SteadyState, *, n_eigs: int = 10, dense_limit: int = 400) -> St
         e = np.zeros(n)
         for i in range(n):
             e[i] = 1.0
-            mat[:, i] = jac.apply_flat(e)
+            mat[:, i] = jac.apply(e)
             e[i] = 0.0
         evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     else:
@@ -293,14 +262,18 @@ def default_seed_scale(domain: Domain, p: Params) -> float:
 
 
 def _translation_max_inner(a: SpectralField, b: SpectralField) -> float:
-    """max over grid shifts s of <a, b(. - s)> for periodic fields."""
+    """max over grid shifts s of <a, b(. - s)> for periodic fields.
+
+    The correlation over shifts has complex coefficients a_K conj(b_K); the
+    (y, z) pairs of q encode cscale times them, so its grid synthesis is
+    cscale times the correlation.
+    """
     d = a.domain
-    q = a.data * np.conj(b.data)
-    sizes = d.grid_n
-    big = np.zeros(sizes, dtype=complex)
-    big[np.ix_(*_embed_indices(d.band, sizes))] = q
-    corr = sfft.ifftn(big).real * float(np.prod(sizes))
-    return d.volume * float(corr.max())
+    lat = _lattice(d)
+    n = lat.nhalf
+    ya, za, yb, zb = a.data[:n], a.data[n:], b.data[:n], b.data[n:]
+    q = np.concatenate([ya * zb - za * yb, za * zb + ya * yb])
+    return d.volume / lat.cscale * float(_fourier_synthesis(q, d, d.grid_n).max())
 
 
 def orbit_distance(a: SpectralField, b: SpectralField, p: Params,
@@ -365,7 +338,7 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100,
     else:
         results = [_newton_task(t) for t in tasks]
     states = [s for s in results if s is not None]
-    states.sort(key=lambda s: (round(s.norm, 9), np.round(s.state.to_flat(), 9).tobytes()))
+    states.sort(key=lambda s: (round(s.norm, 9), np.round(s.state.data, 9).tobytes()))
     kept: list[SteadyState] = []
     for s in states:
         if all(orbit_distance(s.state, k.state, p, dedup) >= DEDUP_TOL for k in kept):

@@ -19,6 +19,8 @@ from shbif.spectral import (
 )
 from shbif.steady import (
     SteadyState,
+    _Jacobian,
+    _solve_newton_system,
     continue_branch,
     find_all,
     index_sum,
@@ -238,3 +240,24 @@ def test_continue_branch_gsh_through_critical():
     assert amps[9.1] < 0
     final = stability(br.points[-1][1])
     assert final.morse_index == 0
+
+
+@pytest.mark.parametrize("case", ["dirichlet-saddle", "odd-periodic-mixed"])
+def test_inner_solve_meets_newton_bound(case):
+    # The bound newton relies on: the inner solve returns a step delta with
+    # |J delta + F| <= |F| / 2, or raises SingularJacobian.  MINRES stops on
+    # its rtol = eta in the preconditioned norm, so eta itself does not bound
+    # the Euclidean residual; the step must still cut the residual.
+    if case == "dirichlet-saddle":
+        d, p = D, Params(8.9, 1.0)
+        u = 0.12 * eigenfunction(D, 1)  # near the mu = 1, lambda = 8.9 saddle
+    else:
+        d, p = Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=64, band=16), Params(0.2)
+        u = math.sqrt(2 * d.volume * 0.2 / 9) * (
+            eigenfunction(d, ("sin", (1, 0))) + eigenfunction(d, ("sin", (0, 1))))
+    f = residual(u, p)
+    eta = min(0.1, max(1e-4, f.norm()))  # the forcing term newton passes
+    jac = _Jacobian(u, p)
+    delta = _solve_newton_system(jac, -f.data, eta)
+    assert np.linalg.norm(jac.apply(delta) + f.data) <= 0.5 * f.norm()
+    assert residual(u + SpectralField(d, delta), p).norm() < 0.1 * f.norm()
