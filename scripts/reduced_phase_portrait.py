@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from shbif.reduced import build_reduced, odd_periodic_flow, reduced_fixed_points
+from shbif.reduced import build_reduced, cubic_flow, reduced_fixed_points
 from shbif.spectral import Domain
 
 
@@ -37,7 +37,7 @@ def main():
         fh.write("y1,y2,dy1,dy2\n")
         for a in grid:
             for b in grid:
-                dy = odd_periodic_flow(np.array([a, b]), args.lam, sys)
+                dy = cubic_flow(np.array([a, b]), args.lam, sys)
                 fh.write(f"{float(a)!r},{float(b)!r},{float(dy[0])!r},{float(dy[1])!r}\n")
 
     fp_path = out / "reduced-fixed-points.csv"

@@ -13,7 +13,6 @@ from .dynamics import (
 )
 from .errors import (
     BandTooSmall,
-    DegenerateQuadratic,
     DegenerateState,
     DomainMismatch,
     EigsNoConvergence,
@@ -44,11 +43,6 @@ from .reduced import (
     ReducedSystem,
     build_reduced,
     cubic_tensor,
-    dirichlet_bifurcation_roots,
-    gsh_fixed_points,
-    gsh_reduced_flow,
-    odd_periodic_flow,
-    periodic_flow,
     predict_amplitudes,
     quadratic_tensor,
     reduced_fixed_points,

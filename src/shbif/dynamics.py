@@ -127,13 +127,10 @@ def _etd_kernel(domain: Domain, p: Params, dt: float, scheme: str):
     return etd1 if scheme == "etd1" else etdrk2
 
 
-def step(u: SpectralField, p: Params, dt: float, *, scheme: str = "etdrk2",
-         include_nonlinear: bool = True) -> SpectralField:
-    """Advance one time step. include_nonlinear=False gives the pure linear flow."""
+def step(u: SpectralField, p: Params, dt: float, *,
+         scheme: str = "etdrk2") -> SpectralField:
+    """Advance one time step."""
     check_params(u.domain, p)
-    if not include_nonlinear:
-        E, _, _ = _weights(u.domain, p.lam, dt)
-        return SpectralField(u.domain, E * u.data)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _etd_kernel(u.domain, p, dt, scheme)(u.data)
     if not np.all(np.isfinite(out)):
@@ -291,14 +288,14 @@ def integrate(u0: SpectralField, p: Params, cfg: StepperConfig) -> RunReport:
     return finish(SpectralField(domain, x))
 
 
-def basin_probe(p: Params, seeds, *, references=None, t_max: float = 400.0,
-                dt: float = 2e-3, tol: float = 1e-4):
+def basin_probe(p: Params, seeds, *, t_max: float = 400.0):
     """Integrate each seed and label it by the steady state it approaches.
 
-    Returns (labels, references) where references maps label -> SteadyState
-    (or field) used for the distance test.  For mu = 0 the labels are
-    'u1'/'u2'/'trivial'; for mu > 0 they are 'attractor'/'divergent-side'
-    /'trivial'; anything unresolved within t_max is labelled 'unresolved'.
+    Returns (labels, references) where references maps label -> field; a
+    seed takes the label of a reference once it is within 1e-4 of it.  For
+    mu = 0 the labels are 'u1'/'u2'/'trivial'; for mu > 0 they are
+    'attractor'/'divergent-side'/'trivial'; anything unresolved within
+    t_max is labelled 'unresolved'.
     """
     from . import steady as _steady  # local import: steady depends on spectral only
 
@@ -306,27 +303,25 @@ def basin_probe(p: Params, seeds, *, references=None, t_max: float = 400.0,
         return [], {}
     domain = seeds[0].domain
     check_params(domain, p)
-    if references is None:
-        references = {"trivial": SpectralField.zeros(domain)}
-        summ = principal(domain)
-        phi_c = SpectralField.from_modes(domain, {summ.critical_modes[0]: 1.0})
-        if p.mu == 0.0:
-            if p.lam > summ.lambda_c:
-                amp = _steady.default_seed_scale(domain, p)
-                s1 = _steady.newton(amp * phi_c, p)
-                ref1 = s1.state if inner(s1.state, phi_c) > 0 else -1.0 * s1.state
-                references["u1"] = ref1
-                references["u2"] = -1.0 * ref1
-        else:
-            amp = -(p.lam - summ.lambda_c) / (
-                p.mu * inner(square(phi_c), phi_c))
-            if amp != 0.0:
-                references["attractor"] = _steady.newton(amp * phi_c, p).state
-    ref_items = [(k, v.state if hasattr(v, "state") else v) for k, v in references.items()]
-    big = 2.0 * max((f.norm() for _, f in ref_items), default=1.0) + 1.0
+    references = {"trivial": SpectralField.zeros(domain)}
+    summ = principal(domain)
+    phi_c = SpectralField.from_modes(domain, {summ.critical_modes[0]: 1.0})
+    if p.mu == 0.0:
+        if p.lam > summ.lambda_c:
+            amp = _steady.default_seed_scale(domain, p)
+            s1 = _steady.newton(amp * phi_c, p)
+            ref1 = s1.state if inner(s1.state, phi_c) > 0 else -1.0 * s1.state
+            references["u1"] = ref1
+            references["u2"] = -1.0 * ref1
+    else:
+        amp = -(p.lam - summ.lambda_c) / (
+            p.mu * inner(square(phi_c), phi_c))
+        if amp != 0.0:
+            references["attractor"] = _steady.newton(amp * phi_c, p).state
+    big = 2.0 * max(f.norm() for f in references.values()) + 1.0
 
     labels = []
-    chunk = StepperConfig(dt=dt, t_end=20.0, scheme="etdrk2", sample_every=100)
+    chunk = StepperConfig(dt=2e-3, t_end=20.0, scheme="etdrk2", sample_every=100)
     for seed in seeds:
         u = seed
         label = "unresolved"
@@ -339,9 +334,9 @@ def basin_probe(p: Params, seeds, *, references=None, t_max: float = 400.0,
                 break
             u = rep.final_state
             t += chunk.t_end
-            dists = [(name, (u - f).norm()) for name, f in ref_items]
+            dists = [(name, (u - f).norm()) for name, f in references.items()]
             name, dmin = min(dists, key=lambda kv: kv[1])
-            if dmin < tol:
+            if dmin < 1e-4:
                 label = name
                 break
             if p.mu > 0 and u.norm() > big:
@@ -355,4 +350,4 @@ def basin_probe(p: Params, seeds, *, references=None, t_max: float = 400.0,
                     label = "divergent-side"
                 break
         labels.append(label)
-    return labels, dict(ref_items)
+    return labels, references

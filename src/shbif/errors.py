@@ -41,10 +41,6 @@ class DegenerateState(ShbifError):
     """A steady state has a Jacobian eigenvalue too close to zero to classify."""
 
 
-class DegenerateQuadratic(ShbifError):
-    """Quadratic reduced equation degenerates (alpha * mu = 0)."""
-
-
 class ParseError(ShbifError):
     """Config text could not be parsed."""
 

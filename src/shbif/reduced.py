@@ -9,7 +9,9 @@ leading order, is
 where T[j,k,l,i] = <phi_j phi_k phi_l, phi_i> and Q[j,k,i] =
 <phi_j phi_k, phi_i> are computed from dealiased spectral products, never
 from hand-coded coefficient tables.  All contractions run over ordered index
-tuples, so no multinomial factors appear explicitly.
+tuples, so no multinomial factors appear explicitly.  cubic_flow evaluates
+this field for every boundary condition; on periodic domains y lists the
+sine and cosine partners in the order of ReducedSystem.modes.
 
 Closed-form consequences used by the verification suites:
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Params
-from .errors import DegenerateQuadratic, ExplicitDegeneracy
+from .errors import ExplicitDegeneracy
 from .linear_analysis import eigenfunction, growth_rate, principal
 from .spectral import (
     BoundaryCondition,
@@ -129,33 +131,6 @@ def cubic_flow(y: np.ndarray, lam: float, sys: ReducedSystem,
     return out
 
 
-def odd_periodic_flow(y: np.ndarray, lam: float, sys: ReducedSystem) -> np.ndarray:
-    """Amplitude flow for the odd-periodic critical modes."""
-    if sys.domain.bc is not BoundaryCondition.ODD_PERIODIC:
-        raise ValueError("reduced system was not built on an odd-periodic domain")
-    return cubic_flow(y, lam, sys)
-
-
-def periodic_flow(y: np.ndarray, z: np.ndarray, lam: float,
-                  sys: ReducedSystem):
-    """(dy, dz) for the periodic reduced system; modes ordered sin/cos per K.
-
-    The system built by build_reduced on a periodic domain interleaves the
-    sine and cosine partners; this wrapper accepts the (y, z) split.
-    """
-    if sys.domain.bc is not BoundaryCondition.PERIODIC:
-        raise ValueError("reduced system was not built on a periodic domain")
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    v = np.zeros(sys.m)
-    sin_pos = [i for i, m in enumerate(sys.modes) if m.kind == "sin"]
-    cos_pos = [i for i, m in enumerate(sys.modes) if m.kind == "cos"]
-    v[sin_pos] = y
-    v[cos_pos] = z
-    out = cubic_flow(v, lam, sys)
-    return out[sin_pos], out[cos_pos]
-
-
 def reduced_jacobian(y: np.ndarray, lam: float, sys: ReducedSystem,
                      mu: float = 0.0) -> np.ndarray:
     y = np.asarray(y, dtype=float)
@@ -250,35 +225,6 @@ def reduced_fixed_points(sys: ReducedSystem, lam: float) -> list[ReducedFixedPoi
 # ---------------------------------------------------------------------------
 # closed-form predictions
 # ---------------------------------------------------------------------------
-
-def dirichlet_bifurcation_roots(L: float, lam: float) -> list[float]:
-    """Leading-order roots of the scalar bifurcation equation.
-
-    Roots are coefficients in the normalized basis: {0} for beta1 <= 0 and
-    {0, +-sqrt(2 L beta1 / 3)} for beta1 > 0 (physical sine amplitude
-    sqrt(2/L) times the root).
-    """
-    d = Domain.make(1, L, BoundaryCondition.DIRICHLET, grid_n=64, band=16)
-    beta1 = lam - principal(d).lambda_c
-    if beta1 <= 0:
-        return [0.0]
-    r = math.sqrt(2.0 * L * beta1 / 3.0)
-    return [0.0, r, -r]
-
-
-def gsh_reduced_flow(x: float, beta_c: float, mu: float, alpha: float) -> float:
-    """Scalar reduced flow beta_c x + alpha mu x^2 of the quadratic branch."""
-    if alpha * mu == 0.0:
-        raise DegenerateQuadratic("alpha * mu = 0: no quadratic branch")
-    return beta_c * x + alpha * mu * x * x
-
-
-def gsh_fixed_points(beta_c: float, mu: float, alpha: float) -> tuple[float, float]:
-    """Fixed points {0, -beta_c / (alpha mu)} of the scalar reduced flow."""
-    if alpha * mu == 0.0:
-        raise DegenerateQuadratic("alpha * mu = 0: no quadratic branch")
-    return 0.0, -beta_c / (alpha * mu)
-
 
 @dataclass
 class AmplitudePrediction:

@@ -46,6 +46,8 @@ NEWTON_TOL = 1e-11
 POS_TOL = 1e-8
 NEUTRAL_TOL = 1e-6
 DEDUP_TOL = 1e-6
+KRYLOV_MAXITER = 500  # MINRES iterations per Newton step, at least 2n
+DENSE_LIMIT = 400  # stability() takes dense eigenvalues up to this size
 
 
 @dataclass
@@ -118,13 +120,12 @@ def jacobian_apply(u: SpectralField, p: Params, v: SpectralField) -> SpectralFie
     return SpectralField(u.domain, _Jacobian(u, p).apply(v.data))
 
 
-def _solve_newton_system(jac: _Jacobian, rhs: np.ndarray, rtol: float,
-                         maxiter: int = 500) -> np.ndarray:
+def _solve_newton_system(jac: _Jacobian, rhs: np.ndarray, rtol: float) -> np.ndarray:
     minv = 1.0 / (np.abs(growth_array(jac.domain, jac.p.lam)) + 1.0)
     a = jac.as_linear_operator()
     n = a.shape[0]
     m = spla.LinearOperator((n, n), matvec=lambda v: minv * v, dtype=float)
-    x, _info = spla.minres(a, rhs, rtol=max(rtol, 1e-12), maxiter=max(maxiter, 2 * n), M=m)
+    x, _info = spla.minres(a, rhs, rtol=max(rtol, 1e-12), maxiter=max(KRYLOV_MAXITER, 2 * n), M=m)
     res = float(np.linalg.norm(jac.apply(x) - rhs))
     if res > 0.5 * float(np.linalg.norm(rhs)):
         raise SingularJacobian("inner solver stagnated (singular Jacobian)")
@@ -132,7 +133,7 @@ def _solve_newton_system(jac: _Jacobian, rhs: np.ndarray, rtol: float,
 
 
 def newton(u0: SpectralField, p: Params, *, tol: float = NEWTON_TOL,
-           max_iter: int = 50, krylov_maxiter: int = 500) -> SteadyState:
+           max_iter: int = 50) -> SteadyState:
     """Newton iteration from u0; raises NoConvergence / SingularJacobian."""
     check_params(u0.domain, p)
     u = u0
@@ -146,7 +147,7 @@ def newton(u0: SpectralField, p: Params, *, tol: float = NEWTON_TOL,
         jac = _Jacobian(u, p)
         eta = min(0.1, max(1e-4, nf))
         try:
-            delta = _solve_newton_system(jac, -f.data, eta, krylov_maxiter)
+            delta = _solve_newton_system(jac, -f.data, eta)
         except SingularJacobian:
             # iterates collapsing onto the trivial branch hit a genuinely
             # singular Jacobian (double root at the bifurcation point); the
@@ -213,7 +214,7 @@ def _leading_eigs_lobpcg(jac: _Jacobian, k: int) -> np.ndarray:
         raise EigsNoConvergence(str(err)) from err
 
 
-def stability(s: SteadyState, *, n_eigs: int = 10, dense_limit: int = 400) -> SteadyState:
+def stability(s: SteadyState, *, n_eigs: int = 10) -> SteadyState:
     """Fill leading Jacobian eigenvalues and the Morse index.
 
     For periodic domains, eigenvalues with |e| < 1e-6 are reported as neutral
@@ -223,7 +224,7 @@ def stability(s: SteadyState, *, n_eigs: int = 10, dense_limit: int = 400) -> St
     jac = _Jacobian(s.state, p)
     n = _lattice(s.state.domain).nflat
     periodic = s.state.domain.bc is BoundaryCondition.PERIODIC
-    if n <= dense_limit:
+    if n <= DENSE_LIMIT:
         mat = np.empty((n, n))
         e = np.zeros(n)
         for i in range(n):
@@ -306,8 +307,7 @@ def _newton_task(task):
         return None
 
 
-def find_all(domain: Domain, p: Params, n_seeds: int = 100,
-             seed_scale: float | None = None, *, rng_seed: int = 0,
+def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0,
              jobs: int = 1, dedup: str = "symmetry",
              with_stability: bool = True) -> list[SteadyState]:
     """Newton from random critical-mode seeds, deduplicated.
@@ -318,8 +318,7 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100,
     translations; 'exact' keeps every distinct state.
     """
     check_params(domain, p)
-    if seed_scale is None:
-        seed_scale = default_seed_scale(domain, p)
+    seed_scale = default_seed_scale(domain, p)
     summ = principal(domain)
     rng = np.random.default_rng(rng_seed)
     crit = [eigenfunction(domain, m) for m in summ.critical_modes]

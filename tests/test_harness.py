@@ -2,6 +2,9 @@
 
 import json
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +49,13 @@ def test_parse_config_unknown_key():
     with pytest.raises(ParseError) as exc:
         parse_config("dim=1\nwhatever=3\n")
     assert exc.value.line == 2
+
+
+def test_parse_config_rejects_seed_scale():
+    # no scenario reads a seed scale, so the key is unknown rather than ignored
+    with pytest.raises(ParseError) as exc:
+        parse_config("seed_scale=0.5\n")
+    assert exc.value.line == 1
 
 
 def test_parse_config_bad_value():
@@ -154,6 +164,21 @@ def test_cli_sweep(tmp_path, capsys):
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "lambda,state_id,l2_norm,critical_amplitude,morse_index"
     assert len(lines) > 3
+    rows = {}
+    for line in lines[1:]:
+        lam, _sid, norm, amp, morse = line.split(",")
+        rows.setdefault(round(float(lam), 9), []).append(
+            (float(norm), float(amp), int(morse)))
+    # below lambda_c = 9 only the trivial state, and it is stable
+    ((norm, _amp, morse),) = rows[8.8]
+    assert norm < 1e-6 and morse == 0
+    # above it the trivial state is a saddle and one state of the +-u pair
+    # is listed, with the reduced amplitude sqrt(2 L beta / 3)
+    trivial, bifurcated = sorted(rows[9.2])
+    assert trivial[0] < 1e-6 and trivial[2] == 1
+    assert bifurcated[2] == 0
+    want = math.sqrt(2 * (math.pi / 2) * 0.2 / 3)
+    assert abs(abs(bifurcated[1]) - want) <= 1e-3 * want
 
 
 def test_cli_steady_from_seed_file(tmp_path, capsys):
@@ -180,3 +205,17 @@ def test_cli_config_file(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["betas"]["sin[1]"] == pytest.approx(0.4)
+
+
+def test_reduced_phase_portrait_script(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reduced_phase_portrait.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out-dir", str(tmp_path)])
+    runpy.run_path(str(script), run_name="__main__")
+    fps = (tmp_path / "reduced-fixed-points.csv").read_text().strip().splitlines()
+    assert fps[0] == "y1,y2,kind,eig1,eig2"
+    kinds = [row.split(",")[2] for row in fps[1:]]
+    assert len(kinds) == 9
+    assert (kinds.count("attractor"), kinds.count("saddle"), kinds.count("source")) == (4, 4, 1)
+    field = (tmp_path / "reduced-flow-field.csv").read_text().strip().splitlines()
+    assert field[0] == "y1,y2,dy1,dy2"
+    assert len(field) == 1 + 21 * 21

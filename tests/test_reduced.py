@@ -10,17 +10,13 @@ from numpy.testing import assert_allclose
 
 from shbif import oracles
 from shbif.dynamics import Params, StepperConfig, integrate
-from shbif.errors import DegenerateQuadratic, ExplicitDegeneracy
+from shbif.errors import ExplicitDegeneracy
 from shbif.harness import transcritical_amplitude
 from shbif.linear_analysis import eigenfunction, growth_rate
 from shbif.reduced import (
     build_reduced,
+    cubic_flow,
     cubic_tensor,
-    dirichlet_bifurcation_roots,
-    gsh_fixed_points,
-    gsh_reduced_flow,
-    odd_periodic_flow,
-    periodic_flow,
     predict_amplitudes,
     quadratic_tensor,
     reduced_fixed_points,
@@ -63,8 +59,8 @@ def test_odd_periodic_tensor_pattern():
     assert_allclose(sys.cubic[0, 1, 1, 0], 1 / v, rtol=1e-12)
     # flow-level coefficients: cross coupling is twice the self coupling
     y = np.array([1.0, 0.0])
-    self_c = -odd_periodic_flow(y, sys.lambda_c, sys)[0]
-    cross_c = -odd_periodic_flow(np.array([1e-3, 1.0]), sys.lambda_c, sys)[0] / 1e-3
+    self_c = -cubic_flow(y, sys.lambda_c, sys)[0]
+    cross_c = -cubic_flow(np.array([1e-3, 1.0]), sys.lambda_c, sys)[0] / 1e-3
     assert_allclose(cross_c / self_c, 2.0, rtol=1e-6)
 
 
@@ -82,16 +78,16 @@ def test_quadratic_tensor_dirichlet_alpha():
 def test_odd_flow_basics():
     sys = build_reduced(D_ODD2)
     lam = 0.2
-    assert np.all(odd_periodic_flow(np.zeros(2), lam, sys) == 0)
+    assert np.all(cubic_flow(np.zeros(2), lam, sys) == 0)
     # permutation equivariance
     y = np.array([0.3, -0.7])
-    f = odd_periodic_flow(y, lam, sys)
-    fp = odd_periodic_flow(y[::-1], lam, sys)
+    f = cubic_flow(y, lam, sys)
+    fp = cubic_flow(y[::-1], lam, sys)
     assert_allclose(f[::-1], fp, rtol=1e-12)
     # equal-amplitude point is a fixed point exactly at the predicted value
     a = math.sqrt(2 * D_ODD2.volume * lam / (3 * (2 * 2 - 1)))
-    assert np.max(np.abs(odd_periodic_flow(np.array([a, a]), lam, sys))) < 1e-12
-    assert np.max(np.abs(odd_periodic_flow(np.array([1.05 * a, a]), lam, sys))) > 1e-4
+    assert np.max(np.abs(cubic_flow(np.array([a, a]), lam, sys))) < 1e-12
+    assert np.max(np.abs(cubic_flow(np.array([1.05 * a, a]), lam, sys))) > 1e-4
 
 
 def test_reduced_fixed_points_census_and_kinds():
@@ -118,7 +114,7 @@ def test_reduced_fixed_points_match_brute_force():
     lam = 0.2
 
     def flow(y):
-        return odd_periodic_flow(y, lam, sys)
+        return cubic_flow(y, lam, sys)
 
     found = []
     a = math.sqrt(2 * D_ODD2.volume * lam / 3)
@@ -128,29 +124,6 @@ def test_reduced_fixed_points_match_brute_force():
             if not any(np.linalg.norm(sol - f) < 1e-6 for f in found):
                 found.append(sol)
     assert len(found) == 9
-
-
-def test_dirichlet_bifurcation_roots():
-    assert dirichlet_bifurcation_roots(math.pi / 2, 9.0) == [0.0]
-    assert dirichlet_bifurcation_roots(math.pi / 2, 8.5) == [0.0]
-    roots = dirichlet_bifurcation_roots(math.pi / 2, 9.5)
-    assert_allclose(sorted(roots), [-math.sqrt(math.pi / 6), 0.0, math.sqrt(math.pi / 6)],
-                    rtol=1e-12)
-    # consistency with the physical amplitude law sqrt(4 beta / 3)
-    phys = max(roots) * math.sqrt(2 / (math.pi / 2))
-    assert_allclose(phys, math.sqrt(4 / 3 * 0.5), rtol=1e-12)
-
-
-def test_gsh_reduced_flow_and_roots():
-    alpha = 8 * math.sqrt(2) / (3 * math.pi * math.sqrt(math.pi / 2))
-    z, x = gsh_fixed_points(-0.1, 1.0, alpha)
-    assert z == 0.0
-    assert_allclose(x, 0.1 / alpha, rtol=1e-12)
-    assert abs(gsh_reduced_flow(x, -0.1, 1.0, alpha)) < 1e-15
-    # nontrivial root changes sign with beta_c
-    assert gsh_fixed_points(0.1, 1.0, alpha)[1] < 0
-    with pytest.raises(DegenerateQuadratic):
-        gsh_fixed_points(-0.1, 0.0, alpha)
 
 
 @pytest.mark.parametrize("length", [math.pi / 2, 2.5])
@@ -170,9 +143,21 @@ def test_transcritical_amplitude_matches_reduced_tensors(length):
 def test_periodic_flow_subspace_and_rotation():
     sys = build_reduced(D_PER1)
     lam = 0.2
+    sin_pos = [i for i, m in enumerate(sys.modes) if m.kind == "sin"]
+    cos_pos = [i for i, m in enumerate(sys.modes) if m.kind == "cos"]
+    assert len(sin_pos) == len(cos_pos) == 1
+
+    def flow_yz(y, z):
+        # (dy, dz) of the cubic flow with y on the sines, z on the cosines
+        v = np.zeros(sys.m)
+        v[sin_pos] = y
+        v[cos_pos] = z
+        out = cubic_flow(v, lam, sys)
+        return out[sin_pos], out[cos_pos]
+
     y = np.array([0.4])
     z = np.array([0.0])
-    dy, dz = periodic_flow(y, z, lam, sys)
+    dy, dz = flow_yz(y, z)
     assert abs(dz[0]) < 1e-14
     # pure sine flow agrees with the sine-restricted cubic balance
     L = D_PER1.length[0]
@@ -181,17 +166,17 @@ def test_periodic_flow_subspace_and_rotation():
     # rotation invariance
     th = 1.1
     y2, z2 = np.array([0.3]), np.array([-0.5])
-    dy2, dz2 = periodic_flow(y2, z2, lam, sys)
+    dy2, dz2 = flow_yz(y2, z2)
     yr = y2 * math.cos(th) - z2 * math.sin(th)
     zr = y2 * math.sin(th) + z2 * math.cos(th)
-    dyr, dzr = periodic_flow(yr, zr, lam, sys)
+    dyr, dzr = flow_yz(yr, zr)
     assert_allclose(dyr, dy2 * math.cos(th) - dz2 * math.sin(th), atol=1e-12)
     assert_allclose(dzr, dy2 * math.sin(th) + dz2 * math.cos(th), atol=1e-12)
     # the circle y^2 + z^2 = 2 L beta / 3 is fixed
     r = math.sqrt(2 * L * lam / 3)
     for ang in (0.0, 0.7, 2.9):
-        dy3, dz3 = periodic_flow(np.array([r * math.cos(ang)]),
-                                 np.array([r * math.sin(ang)]), lam, sys)
+        dy3, dz3 = flow_yz(np.array([r * math.cos(ang)]),
+                           np.array([r * math.sin(ang)]))
         assert max(abs(dy3[0]), abs(dz3[0])) < 1e-12
 
 
