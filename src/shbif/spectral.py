@@ -30,6 +30,15 @@ an FFT call at these sizes: the synthesis S[j, n] = sqrt(2/L) sin(pi j n /
 even projection for squares, which re-expands the product's finite cosine
 series in the half-range sine series, so square() returns the exact L^2
 projection rather than an interpolant.
+
+Odd-periodic fields of dim >= 2 are odd under point reflection, u(-x) = -u(x),
+and so is every product the solvers project: u^3, u v w and u^2 v.  Their
+products are therefore evaluated on the rows j0 = 0..M0 // 2 of the product
+grid's first axis only.  This is exact, not an approximation: those rows are
+the full grid's rows, and once the other axes are transformed, row M0 - j0
+of a real point-odd field is -conj of row j0, which supplies the missing rows
+before the first-axis FFT.  Squares and other even products have no sine
+content there and are zero without any transform.
 """
 
 from __future__ import annotations
@@ -359,27 +368,62 @@ def _spectrum_slots(domain: Domain, sizes: tuple[int, ...]):
     return (shape, *out)
 
 
-def _fourier_synthesis(x: np.ndarray, domain: Domain, sizes) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _half_spectrum(domain: Domain, sizes) -> np.ndarray:
+    """Zero-tailed irfft input for the rows j0 = 0..M0 // 2 of the grid `sizes`.
+
+    Synthesis overwrites its first b + 1 columns on every call and never
+    returns the buffer, so its tail stays zero.  There is one buffer per
+    domain and process: products on one domain must not run in two threads.
+    """
+    return np.zeros((sizes[0] // 2 + 1, *sizes[1:-1], sizes[-1] // 2 + 1), dtype=complex)
+
+
+def _fourier_synthesis(x: np.ndarray, domain: Domain, sizes, half: bool = False) -> np.ndarray:
     """Grid values on `sizes` of the flat Fourier vector x.
 
     The non-last axes are transformed over the b + 1 columns that hold data
-    only; irfft zero-pads the rest of the last axis.
+    only; irfft zero-pads the rest of the last axis.  With `half` (dim >= 2)
+    only the rows j0 = 0..M0 // 2 of axis 0 are returned: after the axis-0
+    transform they go through the middle axes into the cached half-spectrum,
+    whose zero tail already pads them to sizes[-1] // 2 + 1 columns.
     """
     shape, dst, coef, plane, mirror = _spectrum_slots(domain, sizes)
     spec = np.zeros(2 * math.prod(shape))
     spec[dst] = x * coef
     spec = spec.view(complex)
     spec[mirror] = spec[plane].conj()
-    spec = sfft.ifftn(spec.reshape(shape), axes=range(domain.dim - 1), norm="forward",
-                      overwrite_x=True)
-    return sfft.irfft(spec, n=sizes[-1], norm="forward")
+    spec = spec.reshape(shape)
+    if not half:
+        spec = sfft.ifftn(spec, axes=range(domain.dim - 1), norm="forward", overwrite_x=True)
+        return sfft.irfft(spec, n=sizes[-1], norm="forward")
+    padded = _half_spectrum(domain, sizes)
+    spec = sfft.ifft(spec, axis=0, norm="forward", overwrite_x=True)[: len(padded)]
+    if domain.dim == 3:
+        spec = sfft.ifft(spec, axis=1, norm="forward", overwrite_x=True)
+    padded[..., : shape[-1]] = spec
+    return sfft.irfft(padded, n=sizes[-1], norm="forward")
 
 
-def _fourier_analysis(values: np.ndarray, domain: Domain) -> np.ndarray:
-    """Flat Fourier vector of the band content of real grid values."""
-    shape, dst, coef, _, _ = _spectrum_slots(domain, values.shape)
+def _fourier_analysis(values: np.ndarray, domain: Domain, sizes) -> np.ndarray:
+    """Flat Fourier vector of the band content of real grid values on `sizes`.
+
+    `values` may hold only the rows j0 = 0..M0 // 2 of axis 0 of a field
+    odd under point reflection; after the other axes are transformed, the
+    missing rows follow from the mirror H[M0 - j0] = -conj(H[j0]).
+    """
+    shape, dst, coef, _, _ = _spectrum_slots(domain, sizes)
     spec = sfft.rfft(values, norm="forward")[..., : shape[-1]]
-    spec = sfft.fftn(spec, axes=range(domain.dim - 1), norm="forward", overwrite_x=True)
+    rows = len(values)
+    if rows == sizes[0]:
+        spec = sfft.fftn(spec, axes=range(domain.dim - 1), norm="forward", overwrite_x=True)
+    else:
+        if domain.dim == 3:
+            spec = sfft.fft(spec, axis=1, norm="forward", overwrite_x=True)
+        full = np.empty(shape, dtype=complex)
+        full[:rows] = spec
+        full[rows:] = -spec[sizes[0] - rows : 0 : -1].conj()
+        spec = sfft.fft(full, axis=0, norm="forward", overwrite_x=True)
     return np.ascontiguousarray(spec).view(float).reshape(-1)[dst] / coef
 
 
@@ -401,7 +445,7 @@ def to_spectral(g: GridField) -> SpectralField:
         N, B = d.grid_n[0], d.band[0]
         a = sfft.dst(g.values, type=1) / (N + 1)
         return SpectralField(d, a[:B] / _lattice(d).scale)
-    return SpectralField(d, _fourier_analysis(g.values, d))
+    return SpectralField(d, _fourier_analysis(g.values, d, d.grid_n))
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +496,19 @@ def _product_maps(domain: Domain):
     product (up to 3b) aliases outside [-b, b].  'odd' projects a product
     that extends oddly (a cube, or a field times an even weight), 'even' one
     that extends evenly (a square); the even part of an odd-periodic product
-    lies outside the sine basis and projects to zero.
+    lies outside the sine basis and projects to zero.  On odd-periodic
+    domains of dim >= 2 the grid values are the parity half rows j0 =
+    0..M0 // 2 only, which 'odd' completes by point reflection.
     """
     if domain.is_dirichlet:
         S, odd, even = _dirichlet_matrices(domain.band[0], domain.length[0])
         return (lambda x: S @ x), (lambda v: odd @ v), (lambda v: even @ v)
     sizes = tuple(sfft.next_fast_len(4 * b + 1, real=True) for b in domain.band)
-    synthesize = partial(_fourier_synthesis, domain=domain, sizes=sizes)
-    project = partial(_fourier_analysis, domain=domain)
-    if domain.bc is BoundaryCondition.ODD_PERIODIC:
+    odd_periodic = domain.bc is BoundaryCondition.ODD_PERIODIC
+    synthesize = partial(_fourier_synthesis, domain=domain, sizes=sizes,
+                         half=odd_periodic and domain.dim > 1)
+    project = partial(_fourier_analysis, domain=domain, sizes=sizes)
+    if odd_periodic:
         n = _lattice(domain).nflat
         return synthesize, project, lambda v: np.zeros(n)
     return synthesize, project, project
@@ -475,6 +523,8 @@ def cube(f: SpectralField) -> SpectralField:
 
 def square(f: SpectralField) -> SpectralField:
     """Spectral coefficients of u^2 projected onto the retained basis."""
+    if f.domain.bc is BoundaryCondition.ODD_PERIODIC:
+        return SpectralField.zeros(f.domain)  # an even product has no sine content
     synthesize, _, even = _product_maps(f.domain)
     g = synthesize(f.data)
     return SpectralField(f.domain, even(g * g))
@@ -483,6 +533,8 @@ def square(f: SpectralField) -> SpectralField:
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Projection of the pointwise product f*g."""
     f._check(g)
+    if f.domain.bc is BoundaryCondition.ODD_PERIODIC:
+        return SpectralField.zeros(f.domain)  # an even product has no sine content
     synthesize, _, even = _product_maps(f.domain)
     return SpectralField(f.domain, even(synthesize(f.data) * synthesize(g.data)))
 

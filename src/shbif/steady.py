@@ -14,6 +14,7 @@ eigendecomposition for small systems and a preconditioned block iteration
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 from dataclasses import dataclass, replace
 
@@ -315,7 +316,9 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
     Seeds are random combinations of the critical eigenfunctions plus small
     noise on the slaved modes.  dedup 'symmetry' identifies states equal up
     to a global sign flip (mu = 0) and, for periodic domains, grid
-    translations; 'exact' keeps every distinct state.
+    translations; 'exact' keeps every distinct state.  With jobs > 1 one
+    fork pool of that size runs the Newton solves and then the stability
+    calls.
     """
     check_params(domain, p)
     seed_scale = default_seed_scale(domain, p)
@@ -329,21 +332,19 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
             f = f + float(rng.normal(0.0, seed_scale)) * phi
         f = f + random_field(domain, rng, 0.01 * seed_scale, smooth=True)
         seeds.append(f)
-    tasks = [(s, p) for s in seeds]
-    if jobs > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            results = pool.map(_newton_task, tasks)
-    else:
-        results = [_newton_task(t) for t in tasks]
-    states = [s for s in results if s is not None]
-    states.sort(key=lambda s: (round(s.norm, 9), np.round(s.state.data, 9).tobytes()))
-    kept: list[SteadyState] = []
-    for s in states:
-        if all(orbit_distance(s.state, k.state, p, dedup) >= DEDUP_TOL for k in kept):
-            kept.append(s)
-    if with_stability:
-        kept = [stability(s) for s in kept]
+    with contextlib.ExitStack() as stack:
+        run = map
+        if jobs > 1:
+            run = stack.enter_context(multiprocessing.get_context("fork").Pool(jobs)).map
+        results = run(_newton_task, [(s, p) for s in seeds])
+        states = [s for s in results if s is not None]
+        states.sort(key=lambda s: (round(s.norm, 9), np.round(s.state.data, 9).tobytes()))
+        kept: list[SteadyState] = []
+        for s in states:
+            if all(orbit_distance(s.state, k.state, p, dedup) >= DEDUP_TOL for k in kept):
+                kept.append(s)
+        if with_stability:
+            kept = list(run(stability, kept))
     return kept
 
 

@@ -36,9 +36,18 @@ ALL_DOMAINS = [
     Domain.make(1, 2 * math.pi, "odd-periodic", grid_n=64, band=16),
     Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=16, band=4),
     Domain.make(1, 2 * math.pi, "periodic", grid_n=64, band=16),
+    # odd-periodic products run on the parity half of the product grid: 9^3
+    # points (an odd first-axis length and a middle axis), and 9 x 18 points
+    Domain.make(3, 2 * math.pi, "odd-periodic", grid_n=8, band=2),
+    Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=(8, 16), band=(2, 4)),
     Domain.make(2, 5.0, "periodic", grid_n=16, band=4),
     Domain.make(3, 2 * math.pi, "periodic", grid_n=8, band=2),
 ]
+
+
+def _domain_id(d):
+    bands = "" if len(set(d.band)) == 1 else "-band" + "x".join(map(str, d.band))
+    return f"{d.bc.value}-{d.dim}d{bands}"
 
 
 def test_single_mode_synthesis():
@@ -55,7 +64,7 @@ def test_zero_field_transforms():
     assert np.all(cube(f).data == 0)
 
 
-@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: f"{d.bc.value}-{d.dim}d")
+@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=_domain_id)
 def test_roundtrip_random_fields(domain, rng):
     for _ in range(10):
         f = random_field(domain, rng, 1.0, smooth=False)
@@ -63,7 +72,7 @@ def test_roundtrip_random_fields(domain, rng):
         assert np.max(np.abs(g.data - f.data)) <= 1e-12 * max(1.0, f.norm())
 
 
-@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: f"{d.bc.value}-{d.dim}d")
+@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=_domain_id)
 def test_parseval(domain, rng):
     f = random_field(domain, rng, 1.0, smooth=False)
     assert abs(to_grid(f).norm() - f.norm()) <= 1e-10
@@ -111,7 +120,7 @@ def _triple_oracle(f, g, h):
     return oracles.rep_to_coeffs(rep, f.domain)
 
 
-@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: f"{d.bc.value}-{d.dim}d")
+@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=_domain_id)
 def test_products_exact_at_band_edge(domain, rng):
     # cubic content of band-edge modes reaches 3 x band, the most the
     # product grid must keep from aliasing back onto the band
@@ -126,7 +135,7 @@ def test_products_exact_at_band_edge(domain, rng):
         assert oracles.compare_coeffs(sq, oracles.square_oracle(f)) <= 1e-12
 
 
-@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: f"{d.bc.value}-{d.dim}d")
+@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=_domain_id)
 def test_product_grid_depends_on_band_only(domain, rng):
     wide = Domain.make(domain.dim, domain.length, domain.bc,
                        grid_n=tuple(4 * n for n in domain.grid_n), band=domain.band)
@@ -152,7 +161,7 @@ def _cube_on_fewer_points(f):
     return SpectralField(d, to_spectral(GridField(coarse, u**3)).data)
 
 
-@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: f"{d.bc.value}-{d.dim}d")
+@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=_domain_id)
 def test_product_grid_bound_is_tight(domain, rng):
     # 4b Fourier points (2b - 1 DST-I points) alias 3b content onto the band
     f = _band_edge_field(domain, rng)
@@ -301,14 +310,14 @@ def test_translate_periodic_2d(rng):
                     rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("domain", ALL_DOMAINS[:3], ids=lambda d: f"{d.bc.value}-{d.dim}d")
+@pytest.mark.parametrize("domain", ALL_DOMAINS[:3], ids=_domain_id)
 def test_translate_refuses_sine_bases(domain, rng):
     # a general shift of a sine series has cosine content the basis cannot hold
     with pytest.raises(ValueError):
         translate(random_field(domain, rng, 1.0), (3,) * domain.dim)
 
 
-@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: f"{d.bc.value}-{d.dim}d")
+@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=_domain_id)
 def test_norm_and_inner_match_grid_quadrature(domain, rng):
     f, g = (random_field(domain, rng, 1.0, smooth=False) for _ in range(2))
     vf, vg = to_grid(f).values, to_grid(g).values
@@ -331,7 +340,7 @@ def test_roundtrip_3d_at_widest_band(bc, rng):
         assert np.max(np.abs(g.data - f.data)) <= 1e-12 * max(1.0, f.norm())
 
 
-@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: f"{d.bc.value}-{d.dim}d")
+@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=_domain_id)
 def test_storage_is_one_real_vector(domain, rng):
     half = (math.prod(2 * b + 1 for b in domain.band) - 1) // 2  # half the band box
     nflat = {"dirichlet": domain.band[0], "odd-periodic": half,

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from shbif.dynamics import Params
 from shbif.errors import DegenerateState, NoConvergence
-from shbif.linear_analysis import eigenfunction, growth_rate
+from shbif.linear_analysis import eigenfunction, growth_array, growth_rate
 from shbif.spectral import (
     Domain,
     SpectralField,
@@ -16,6 +16,7 @@ from shbif.spectral import (
     inner,
     random_field,
     translate,
+    triple,
 )
 from shbif.steady import (
     SteadyState,
@@ -57,19 +58,27 @@ def test_jacobian_diagonal_at_zero(rng):
     assert np.max(np.abs(jv.data - betas * v.data)) <= 1e-12
 
 
-def test_jacobian_symmetry(rng):
-    u = random_field(D, rng, 0.6)
-    v = random_field(D, rng, 0.6)
-    w = random_field(D, rng, 0.6)
-    p = Params(9.4, 0.3)
+# odd-periodic Jacobians of dim >= 2 run on the parity half of the product grid
+D_ODD_2D = Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=16, band=4)
+D_ODD_3D = Domain.make(3, 2 * math.pi, "odd-periodic", grid_n=8, band=2)
+JACOBIAN_CASES = pytest.mark.parametrize(
+    "domain, p", [(D, Params(9.4, 0.3)), (D_ODD_2D, Params(0.2))],
+    ids=["dirichlet", "odd-periodic-2d"])
+
+
+@JACOBIAN_CASES
+def test_jacobian_symmetry(domain, p, rng):
+    u = random_field(domain, rng, 0.6)
+    v = random_field(domain, rng, 0.6)
+    w = random_field(domain, rng, 0.6)
     assert abs(inner(jacobian_apply(u, p, v), w)
                - inner(v, jacobian_apply(u, p, w))) <= 1e-10
 
 
-def test_jacobian_finite_difference(rng):
-    u = random_field(D, rng, 0.5)
-    v = random_field(D, rng, 0.5)
-    p = Params(9.4, 0.3)
+@JACOBIAN_CASES
+def test_jacobian_finite_difference(domain, p, rng):
+    u = random_field(domain, rng, 0.5)
+    v = random_field(domain, rng, 0.5)
     jv = jacobian_apply(u, p, v)
     errs = []
     hs = (1e-1, 1e-2, 1e-3)
@@ -78,6 +87,15 @@ def test_jacobian_finite_difference(rng):
         errs.append((fd - jv).norm())
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 2.0) <= 0.2
+
+
+@pytest.mark.parametrize("domain", [D_ODD_2D, D_ODD_3D], ids=["2d", "3d"])
+def test_jacobian_is_linear_part_minus_triple(domain, rng):
+    # J(u) v = beta v - 3 u^2 v at mu = 0
+    u, v = (random_field(domain, rng, 1.0, smooth=False) for _ in range(2))
+    p = Params(0.2)
+    ref = growth_array(domain, p.lam) * v.data - 3.0 * triple(u, u, v).data
+    assert np.max(np.abs(jacobian_apply(u, p, v).data - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_newton_trivial_fixed_point():
@@ -186,6 +204,18 @@ def test_find_all_2d_census_small_band():
     morses = sorted(s.morse_index for s in nz)
     assert morses == [0, 0, 1, 1]
     assert index_sum(nz, 2) == 0
+
+
+def test_find_all_pool_matches_serial():
+    # with jobs > 1 one pool runs the Newton solves and then the stability calls
+    d = Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=64, band=16)
+    serial, pooled = (find_all(d, Params(0.2), n_seeds=12, rng_seed=5, jobs=jobs)
+                      for jobs in (1, 2))
+    assert len(serial) == len(pooled) >= 3
+    for a, b in zip(serial, pooled):
+        assert np.array_equal(a.state.data, b.state.data)
+        assert a.leading_eigs == b.leading_eigs
+        assert a.morse_index == b.morse_index
 
 
 def test_index_sum_empty_and_degenerate():
