@@ -189,6 +189,7 @@ def cmd_verify(args) -> int:
         report = run_suite(name, cfg)
         for line in report.summary_lines():
             print(line)
+        print(f"{name}: {report.metadata['wall_seconds']:.2f} s")
         ok = ok and report.passed
     print("overall:", "PASS" if ok else "FAIL")
     return 0 if ok else 1

@@ -10,6 +10,16 @@ the phi-function weights of Cox & Matthews (J. Comput. Phys. 176, 2002):
 with E = exp(dt beta), phi1(z) = (e^z - 1)/z, phi2(z) = (e^z - 1 - z)/z^2.
 Stability is not limited by the stiff linear part, only accuracy by dt.
 
+One loop advances every trajectory.  It steps coefficient arrays of shape
+(m, n), one row per member of a batch of fields on one domain, so on
+dirichlet domains each stage is one matrix product for all members; a
+single field is the m = 1 case and steps as its (n,) vector.  Finiteness
+is checked at samples only: E >= 0 and 0 * inf = nan, so an overflowed
+entry stays non-finite until the next sample, and the steps since the
+previous sample are then replayed one at a time to find the last finite
+state.  Members leave the batch at the sample where they settle or
+overflow.
+
 Runtime monitors check the L2 comparison bounds obtained from
 d/dt |u|^2 <= 2(lambda - lambda_c)|u|^2 - (2/|Omega|)|u|^4 in the three
 regimes of lambda vs lambda_c.  The printed-constant variants of those
@@ -100,29 +110,45 @@ def _weights(domain: Domain, lam: float, dt: float):
 
 
 def _etd_kernel(domain: Domain, p: Params, dt: float, scheme: str):
-    """The one ETD step, on coefficient arrays: x -> x advanced by dt.
+    """The one ETD step on coefficient arrays of shape (..., n): x -> x + dt.
 
-    step and integrate both advance through it.  Overflow is not checked
-    here; callers test the result with isfinite under np.errstate.
+    Leading axes are a batch, broadcast by E, f1 and f2; the product maps
+    act on the trailing axis.  The stages use C(x) = -N(x) = P(g^3) -
+    mu P(g^2) with the weights -f1 and -f2, which rounds exactly as N with
+    f1 and f2 does, and form the products and stage differences in place.
+    The input is never written.  Overflow is not checked here; callers test
+    the result with isfinite under np.errstate.
     """
     E, f1, f2 = _weights(domain, p.lam, dt)
+    nf1, nf2 = -f1, -f2
     synthesize, odd, even = _product_maps(domain)
     mu = p.mu
 
-    def nonlinear(x):
+    def minus_nonlinear(x):
         g = synthesize(x)
-        n = -odd(g * g * g)
-        if mu != 0.0:
-            n = n + mu * even(g * g)
-        return n
+        c = g * g
+        s = even(c) if mu != 0.0 else None
+        c *= g
+        c = odd(c)
+        if s is not None:
+            s *= mu
+            c -= s
+        return c
 
     def etd1(x):
-        return E * x + f1 * nonlinear(x)
+        a = E * x
+        a += nf1 * minus_nonlinear(x)
+        return a
 
     def etdrk2(x):
-        nx = nonlinear(x)
-        a = E * x + f1 * nx
-        return a + f2 * (nonlinear(a) - nx)
+        cx = minus_nonlinear(x)
+        a = E * x
+        a += nf1 * cx
+        ca = minus_nonlinear(a)
+        ca -= cx
+        ca *= nf2
+        a += ca
+        return a
 
     return etd1 if scheme == "etd1" else etdrk2
 
@@ -138,11 +164,19 @@ def step(u: SpectralField, p: Params, dt: float, *,
     return SpectralField(u.domain, out)
 
 
-def lyapunov(u: SpectralField, p: Params) -> float:
+def lyapunov(u, p: Params):
     """Free energy F[u] = int 1/2 ((I+Lap)u)^2 - 1/2 lam u^2 - mu/3 u^3 + 1/4 u^4.
 
     The flow is the L2 gradient flow of F, so F decreases along trajectories.
+    A sequence of fields (a batch) gives the list of their energies, each
+    member evaluated on its own.
     """
+    if isinstance(u, SpectralField):
+        return _free_energy(u, p)
+    return [_free_energy(f, p) for f in u]
+
+
+def _free_energy(u: SpectralField, p: Params) -> float:
     d = u.domain
     x = u.data
     quad = 0.5 * float(lattice_symbol(d) @ (x**2)) - 0.5 * p.lam * float(x @ x)
@@ -193,6 +227,7 @@ class RunReport:
     lambda_c: float
     params: Params
     stopped_steady: bool = False
+    overflowed: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -204,6 +239,7 @@ class RunReport:
             "l2_final": float(self.l2_norms[-1]),
             "lyapunov_final": float(self.lyapunov_values[-1]),
             "stopped_steady": self.stopped_steady,
+            "overflowed": self.overflowed,
             "bound_check": self.bound_check.as_dict(),
         }
 
@@ -222,74 +258,111 @@ def _bound_ratios(regime, lam, lam_c, vol, psi0, t, psi):
     return psi / b, psi / bp
 
 
-def integrate(u0: SpectralField, p: Params, cfg: StepperConfig) -> RunReport:
+def integrate(u0, p: Params, cfg: StepperConfig):
     """Integrate to t_end with sampling and bound monitors.
 
-    Stops early when |du/dt| stays below 1e-9 for 10 consecutive samples.
-    A NonFinite blow-up propagates with the partial report attached.
+    u0 is one field, or a sequence of fields on one domain that advance
+    together as a batch and give one RunReport each.  A member stops early
+    when |du/dt| stays below 1e-9 for 10 consecutive samples, and leaves the
+    batch at that sample.  Finiteness is checked at samples only: a
+    non-finite entry stays non-finite under the step, so the steps since
+    the last sample are then replayed one at a time to find each overflowed
+    member's last finite state.  Its report holds the samples before the
+    overflow, that state and `overflowed`; for a single field, NonFinite
+    propagates with that report attached.  A member's report equals its
+    solo run up to the rounding of the batched matrix products.
     """
-    check_params(u0.domain, p)
-    lam_c = principal(u0.domain).lambda_c
+    single = isinstance(u0, SpectralField)
+    members = [u0] if single else list(u0)
+    if not members:
+        return []
+    domain = members[0].domain
+    for f in members[1:]:
+        members[0]._check(f)
+    check_params(domain, p)
+    lam_c = principal(domain).lambda_c
     if abs(p.lam - lam_c) < 1e-12:
         regime = "critical"
     elif p.lam < lam_c:
         regime = "subcritical"
     else:
         regime = "supercritical"
-    vol = u0.domain.volume
-    psi0 = u0.norm() ** 2
+    vol = domain.volume
 
     times = [0.0]
-    norms = [u0.norm()]
-    lyap = [lyapunov(u0, p)]
-    worst = 1.0 if psi0 > 0 else 0.0
-    worst_p = worst
+    norms = [[f.norm()] for f in members]
+    lyap = [[v] for v in lyapunov(members, p)]
+    psi0 = [nrm[0] ** 2 for nrm in norms]
+    worst = [1.0 if q > 0 else 0.0 for q in psi0]
+    worst_p = list(worst)
+    quiet = [0] * len(members)
+    reports = [None] * len(members)
 
-    domain = u0.domain
-    advance = _etd_kernel(domain, p, cfg.dt, cfg.scheme)
-    x = u0.data
-    nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
-    sample_dt = cfg.dt * cfg.sample_every
-    quiet = 0
-    stopped = False
-    prev_sample = u0
-
-    def finish(u):
-        bc = BoundCheck(regime, worst, worst_p)
-        return RunReport(
-            np.asarray(times), np.asarray(norms), np.asarray(lyap),
-            bc, u, lam_c, p, stopped_steady=stopped,
+    def finish(i, x, stopped=False, overflowed=False):
+        reports[i] = RunReport(
+            np.asarray(times[: len(norms[i])]), np.asarray(norms[i]), np.asarray(lyap[i]),
+            BoundCheck(regime, worst[i], worst_p[i]), SpectralField(domain, x),
+            lam_c, p, stopped_steady=stopped, overflowed=overflowed,
         )
 
+    advance = _etd_kernel(domain, p, cfg.dt, cfg.scheme)
+    nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
+    sample_dt = cfg.dt * cfg.sample_every
+    x = u0.data if single else np.stack([f.data for f in members])
+    n = x.shape[-1]
+    live = list(range(len(members)))  # the member in each row of x
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, nsteps + 1):
-            nxt = advance(x)
-            if not np.all(np.isfinite(nxt)):
-                err = NonFinite("state overflowed during time step")
-                err.report = finish(SpectralField(domain, x))
-                raise err
-            x = nxt
-            if k % cfg.sample_every == 0 or k == nsteps:
-                u = SpectralField(domain, x)
-                t = k * cfg.dt
-                times.append(t)
-                norms.append(u.norm())
-                lyap.append(lyapunov(u, p))
-                if psi0 > 0:
-                    r, rp = _bound_ratios(regime, p.lam, lam_c, vol, psi0, t, norms[-1] ** 2)
-                    worst = max(worst, r)
-                    worst_p = max(worst_p, rp)
-                dudt = (u - prev_sample).norm() / sample_dt
-                prev_sample = u
-                quiet = quiet + 1 if dudt < 1e-9 else 0
-                if quiet >= 10:
-                    stopped = True
-                    break
-    return finish(SpectralField(domain, x))
+        while live and k < nsteps:
+            last, k0, k = x, k, min(k + cfg.sample_every, nsteps)
+            for _ in range(k - k0):
+                x = advance(x)
+            rows = x.reshape(-1, n)
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():
+                # replay the same arithmetic step by step from the last sample
+                lost, y = {}, last
+                for _ in range(k - k0):
+                    nxt = advance(y)
+                    for r in np.flatnonzero(~np.isfinite(nxt.reshape(-1, n)).all(axis=1)):
+                        lost.setdefault(r, y.reshape(-1, n)[r])
+                    y = nxt
+                for r in np.flatnonzero(~finite):
+                    finish(live[r], lost[r], overflowed=True)
+                if single:
+                    raise NonFinite("state overflowed during time step", reports[0])
+            times.append(k * cfg.dt)
+            alive = np.flatnonzero(finite)
+            prev = last.reshape(-1, n)
+            energies = lyapunov([SpectralField(domain, rows[r]) for r in alive], p)
+            running = []
+            for r, energy in zip(alive, energies):
+                i = live[r]
+                norms[i].append(float(np.linalg.norm(rows[r])))
+                lyap[i].append(energy)
+                if psi0[i] > 0:
+                    ratio, ratio_p = _bound_ratios(regime, p.lam, lam_c, vol, psi0[i],
+                                                   times[-1], norms[i][-1] ** 2)
+                    worst[i] = max(worst[i], ratio)
+                    worst_p[i] = max(worst_p[i], ratio_p)
+                dudt = float(np.linalg.norm(rows[r] - prev[r])) / sample_dt
+                quiet[i] = quiet[i] + 1 if dudt < 1e-9 else 0
+                if quiet[i] >= 10:
+                    finish(i, rows[r], stopped=True)
+                else:
+                    running.append(r)
+            if len(running) < len(live):
+                x = rows[running]
+                live = [live[r] for r in running]
+    for r, i in enumerate(live):
+        finish(i, x.reshape(-1, n)[r])
+    return reports[0] if single else reports
 
 
 def basin_probe(p: Params, seeds, *, t_max: float = 400.0):
-    """Integrate each seed and label it by the steady state it approaches.
+    """Integrate the seeds and label each by the steady state it approaches.
+
+    The seeds not yet labelled advance as one batch, 20 time units per call.
 
     Returns (labels, references) where references maps label -> field; a
     seed takes the label of a reference once it is within 1e-4 of it.  For
@@ -320,34 +393,34 @@ def basin_probe(p: Params, seeds, *, t_max: float = 400.0):
             references["attractor"] = _steady.newton(amp * phi_c, p).state
     big = 2.0 * max(f.norm() for f in references.values()) + 1.0
 
-    labels = []
+    labels = ["unresolved"] * len(seeds)
+    states = list(seeds)
+    pending = list(range(len(seeds)))
     chunk = StepperConfig(dt=2e-3, t_end=20.0, scheme="etdrk2", sample_every=100)
-    for seed in seeds:
-        u = seed
-        label = "unresolved"
-        t = 0.0
-        while t < t_max:
-            try:
-                rep = integrate(u, p, chunk)
-            except NonFinite:
-                label = "divergent-side" if p.mu > 0 else "unresolved"
-                break
-            u = rep.final_state
-            t += chunk.t_end
+    t = 0.0
+    while pending and t < t_max:
+        reports = integrate([states[i] for i in pending], p, chunk)
+        t += chunk.t_end
+        unresolved = []
+        for i, rep in zip(pending, reports):
+            u = states[i] = rep.final_state
+            if rep.overflowed:
+                if p.mu > 0:
+                    labels[i] = "divergent-side"
+                continue
             dists = [(name, (u - f).norm()) for name, f in references.items()]
             name, dmin = min(dists, key=lambda kv: kv[1])
             if dmin < 1e-4:
-                label = name
-                break
-            if p.mu > 0 and u.norm() > big:
-                label = "divergent-side"
-                break
-            if rep.stopped_steady:
+                labels[i] = name
+            elif p.mu > 0 and u.norm() > big:
+                labels[i] = "divergent-side"
+            elif rep.stopped_steady:
                 # settled on a steady state away from every reference: for
                 # the quadratic equation that is the far side of the stable
                 # manifold of 0 (only one local attractor exists)
                 if p.mu > 0:
-                    label = "divergent-side"
-                break
-        labels.append(label)
+                    labels[i] = "divergent-side"
+            else:
+                unresolved.append(i)
+        pending = unresolved
     return labels, references

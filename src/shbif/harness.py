@@ -39,7 +39,7 @@ import scipy.integrate as sintegrate
 
 from . import oracles
 from .dynamics import Params, StepperConfig, basin_probe, integrate
-from .errors import ParseError, RangeError, UsageError
+from .errors import NonFinite, ParseError, RangeError, UsageError
 from .linear_analysis import eigenfunction, principal
 from .reduced import (
     build_reduced,
@@ -217,9 +217,11 @@ class VerificationReport:
         }
 
     def to_json(self, drop_timestamp: bool = False) -> str:
+        """The report as JSON; drop_timestamp also drops the wall time."""
         d = self.as_dict()
         if drop_timestamp:
-            d["metadata"] = {k: v for k, v in d["metadata"].items() if k != "timestamp"}
+            d["metadata"] = {k: v for k, v in d["metadata"].items()
+                             if k not in ("timestamp", "wall_seconds")}
         return json.dumps(d, sort_keys=True, indent=2)
 
     def summary_lines(self):
@@ -247,7 +249,8 @@ def _write_csv(path: Path, header: str, rows) -> str:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
     return str(path)
 
 
@@ -266,13 +269,16 @@ def _run_decay(cfg: ExperimentConfig, out: Path | None):
     d = cfg.domain()
     p = cfg.params()
     rng = np.random.default_rng(cfg.rng_seed)
+    seeds = [random_field(d, rng, 1.0, smooth=True, unit_norm=True)
+             for _ in range(cfg.n_seeds)]
+    reports = integrate(seeds, p, cfg.stepper())
+    if any(rep.overflowed for rep in reports):
+        raise NonFinite("a decay trajectory overflowed")
     worst = 0.0
     worst_printed = 0.0
     worst_final = 0.0
     rows = []
-    for run in range(cfg.n_seeds):
-        u0 = random_field(d, rng, 1.0, smooth=True, unit_norm=True)
-        rep = integrate(u0, p, cfg.stepper())
+    for run, rep in enumerate(reports):
         worst = max(worst, rep.bound_check.worst_ratio)
         worst_printed = max(worst_printed, rep.bound_check.worst_ratio_printed)
         worst_final = max(worst_final, rep.l2_norms[-1] / rep.l2_norms[0])
@@ -838,8 +844,10 @@ def run_suite(name: str, cfg: ExperimentConfig | None = None,
     cfg.scenario = name
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
     checks, artifacts = SCENARIOS[name](cfg, out)
     report = VerificationReport(name, checks, _metadata(cfg), artifacts)
+    report.metadata["wall_seconds"] = time.perf_counter() - t0
     path = out / f"{name}-report.json"
     path.write_text(report.to_json())
     report.artifacts.append(str(path))

@@ -368,63 +368,76 @@ def _spectrum_slots(domain: Domain, sizes: tuple[int, ...]):
     return (shape, *out)
 
 
-@lru_cache(maxsize=None)
-def _half_spectrum(domain: Domain, sizes) -> np.ndarray:
-    """Zero-tailed irfft input for the rows j0 = 0..M0 // 2 of the grid `sizes`.
+@lru_cache(maxsize=64)
+def _padded_spectrum(domain: Domain, shape: tuple[int, ...]) -> np.ndarray:
+    """Zero-tailed irfft input of `shape` for syntheses of fields on `domain`.
 
-    Synthesis overwrites its first b + 1 columns on every call and never
-    returns the buffer, so its tail stays zero.  There is one buffer per
-    domain and process: products on one domain must not run in two threads.
+    Synthesis overwrites the band's last-axis columns 0..b on every call and
+    never returns the buffer, so its tail stays zero and irfft makes no
+    padding copy.  There is one buffer per domain, batch and grid shape and
+    process: transforms on one domain must not run in two threads.
     """
-    return np.zeros((sizes[0] // 2 + 1, *sizes[1:-1], sizes[-1] // 2 + 1), dtype=complex)
+    return np.zeros(shape, dtype=complex)
+
+
+def _rows(s: slice, dim: int) -> tuple:
+    """Index taking the slice s of spatial axis 0 of a (..., *grid) array."""
+    return (Ellipsis, s) + (slice(None),) * (dim - 1)
 
 
 def _fourier_synthesis(x: np.ndarray, domain: Domain, sizes, half: bool = False) -> np.ndarray:
-    """Grid values on `sizes` of the flat Fourier vector x.
+    """Grid values on `sizes` of the flat Fourier vectors x, shape (..., n).
 
-    The non-last axes are transformed over the b + 1 columns that hold data
-    only; irfft zero-pads the rest of the last axis.  With `half` (dim >= 2)
-    only the rows j0 = 0..M0 // 2 of axis 0 are returned: after the axis-0
-    transform they go through the middle axes into the cached half-spectrum,
-    whose zero tail already pads them to sizes[-1] // 2 + 1 columns.
+    Leading axes of x are a batch and lead the result.  The non-last axes
+    are transformed over the b + 1 columns that hold data only, and a cached
+    zero-tailed half-spectrum pads them for irfft.  With `half` (dim >= 2)
+    only the rows j0 = 0..M0 // 2 of axis 0 are returned: they alone go on
+    through the middle axes into the half-spectrum.
     """
     shape, dst, coef, plane, mirror = _spectrum_slots(domain, sizes)
-    spec = np.zeros(2 * math.prod(shape))
-    spec[dst] = x * coef
+    dim = domain.dim
+    lead = x.shape[:-1]
+    spec = np.zeros((*lead, 2 * math.prod(shape)))
+    spec[..., dst] = x * coef
     spec = spec.view(complex)
-    spec[mirror] = spec[plane].conj()
-    spec = spec.reshape(shape)
+    spec[..., mirror] = spec[..., plane].conj()
+    spec = spec.reshape(*lead, *shape)
     if not half:
-        spec = sfft.ifftn(spec, axes=range(domain.dim - 1), norm="forward", overwrite_x=True)
-        return sfft.irfft(spec, n=sizes[-1], norm="forward")
-    padded = _half_spectrum(domain, sizes)
-    spec = sfft.ifft(spec, axis=0, norm="forward", overwrite_x=True)[: len(padded)]
-    if domain.dim == 3:
-        spec = sfft.ifft(spec, axis=1, norm="forward", overwrite_x=True)
+        spec = sfft.ifftn(spec, axes=range(-dim, -1), norm="forward", overwrite_x=True)
+    else:
+        spec = sfft.ifft(spec, axis=-dim, norm="forward", overwrite_x=True)
+        spec = spec[_rows(slice(sizes[0] // 2 + 1), dim)]
+        if dim == 3:
+            spec = sfft.ifft(spec, axis=-2, norm="forward", overwrite_x=True)
+    padded = _padded_spectrum(domain, (*spec.shape[:-1], sizes[-1] // 2 + 1))
     padded[..., : shape[-1]] = spec
     return sfft.irfft(padded, n=sizes[-1], norm="forward")
 
 
 def _fourier_analysis(values: np.ndarray, domain: Domain, sizes) -> np.ndarray:
-    """Flat Fourier vector of the band content of real grid values on `sizes`.
+    """Flat Fourier vectors of the band content of real grid values on `sizes`.
 
-    `values` may hold only the rows j0 = 0..M0 // 2 of axis 0 of a field
-    odd under point reflection; after the other axes are transformed, the
-    missing rows follow from the mirror H[M0 - j0] = -conj(H[j0]).
+    Leading axes of `values` beyond the grid's are a batch.  `values` may
+    hold only the rows j0 = 0..M0 // 2 of axis 0 of a field odd under point
+    reflection; after the other axes are transformed, the missing rows
+    follow from the mirror H[M0 - j0] = -conj(H[j0]).
     """
     shape, dst, coef, _, _ = _spectrum_slots(domain, sizes)
+    dim = domain.dim
     spec = sfft.rfft(values, norm="forward")[..., : shape[-1]]
-    rows = len(values)
+    rows = values.shape[-dim]
     if rows == sizes[0]:
-        spec = sfft.fftn(spec, axes=range(domain.dim - 1), norm="forward", overwrite_x=True)
+        spec = sfft.fftn(spec, axes=range(-dim, -1), norm="forward", overwrite_x=True)
     else:
-        if domain.dim == 3:
-            spec = sfft.fft(spec, axis=1, norm="forward", overwrite_x=True)
-        full = np.empty(shape, dtype=complex)
-        full[:rows] = spec
-        full[rows:] = -spec[sizes[0] - rows : 0 : -1].conj()
-        spec = sfft.fft(full, axis=0, norm="forward", overwrite_x=True)
-    return np.ascontiguousarray(spec).view(float).reshape(-1)[dst] / coef
+        if dim == 3:
+            spec = sfft.fft(spec, axis=-2, norm="forward", overwrite_x=True)
+        full = np.empty((*spec.shape[:-dim], *shape), dtype=complex)
+        full[_rows(slice(rows), dim)] = spec
+        mirrored = spec[_rows(slice(sizes[0] - rows, 0, -1), dim)]
+        full[_rows(slice(rows, None), dim)] = -mirrored.conj()
+        spec = sfft.fft(full, axis=-dim, norm="forward", overwrite_x=True)
+    lead = spec.shape[:-dim]
+    return np.ascontiguousarray(spec).view(float).reshape(*lead, -1)[..., dst] / coef
 
 
 def to_grid(f: SpectralField) -> GridField:
@@ -492,26 +505,27 @@ def _product_maps(domain: Domain):
     """(synthesize, project_odd, project_even) between band coefficients and
     values on the product grid, whose size depends on the band alone.
 
-    Fourier axes get next_fast_len(4b + 1) points, so the content of a cubic
-    product (up to 3b) aliases outside [-b, b].  'odd' projects a product
-    that extends oddly (a cube, or a field times an even weight), 'even' one
-    that extends evenly (a square); the even part of an odd-periodic product
-    lies outside the sine basis and projects to zero.  On odd-periodic
-    domains of dim >= 2 the grid values are the parity half rows j0 =
-    0..M0 // 2 only, which 'odd' completes by point reflection.
+    Each map acts on the trailing axes and carries leading batch axes
+    through, so coefficients of shape (..., n) give values of shape
+    (..., *grid) and back.  Dirichlet maps are the products of x with S.T,
+    of v with odd.T and of v with even.T.  Fourier axes get next_fast_len(4b + 1) points, so
+    the content of a cubic product (up to 3b) aliases outside [-b, b].
+    'odd' projects a product that extends oddly (a cube, or a field times an
+    even weight), 'even' one that extends evenly (a square).  Odd-periodic
+    domains have no 'even' map (None): an even product has no sine content,
+    and mu > 0 requires the dirichlet condition.  On odd-periodic domains of
+    dim >= 2 the grid values are the parity half rows j0 = 0..M0 // 2 only,
+    which 'odd' completes by point reflection.
     """
     if domain.is_dirichlet:
-        S, odd, even = _dirichlet_matrices(domain.band[0], domain.length[0])
-        return (lambda x: S @ x), (lambda v: odd @ v), (lambda v: even @ v)
+        matrices = _dirichlet_matrices(domain.band[0], domain.length[0])
+        return tuple(partial(np.dot, b=m.T) for m in matrices)
     sizes = tuple(sfft.next_fast_len(4 * b + 1, real=True) for b in domain.band)
     odd_periodic = domain.bc is BoundaryCondition.ODD_PERIODIC
     synthesize = partial(_fourier_synthesis, domain=domain, sizes=sizes,
                          half=odd_periodic and domain.dim > 1)
     project = partial(_fourier_analysis, domain=domain, sizes=sizes)
-    if odd_periodic:
-        n = _lattice(domain).nflat
-        return synthesize, project, lambda v: np.zeros(n)
-    return synthesize, project, project
+    return synthesize, project, None if odd_periodic else project
 
 
 def cube(f: SpectralField) -> SpectralField:

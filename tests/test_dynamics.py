@@ -16,7 +16,7 @@ from shbif.dynamics import (
     step,
 )
 from shbif.errors import NonFinite, RangeError
-from shbif.linear_analysis import eigenfunction, growth_array, growth_rate
+from shbif.linear_analysis import eigenfunction, growth_array, growth_rate, principal
 from shbif.spectral import (
     Domain,
     SpectralField,
@@ -27,7 +27,7 @@ from shbif.spectral import (
     random_field,
     square,
 )
-from shbif.steady import newton
+from shbif.steady import default_seed_scale, newton
 
 D = Domain.make(1, math.pi / 2, "dirichlet", grid_n=64, band=16)
 
@@ -178,15 +178,83 @@ def test_lyapunov_negative_at_bifurcated_state():
     assert lyapunov(s.state, p) < 0.0
 
 
+def _report_deviation(rep, solo):
+    """Largest relative deviation of a batch member's report from its solo run."""
+    assert rep.stopped_steady == solo.stopped_steady
+    assert rep.overflowed == solo.overflowed
+    assert rep.bound_check.regime == solo.bound_check.regime
+    np.testing.assert_array_equal(rep.times, solo.times)
+
+    def rel(a, b):
+        a, b = np.asarray(a, float), np.asarray(b, float)
+        return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+    return max(rel(rep.l2_norms, solo.l2_norms),
+               rel(rep.lyapunov_values, solo.lyapunov_values),
+               rel(rep.bound_check.worst_ratio, solo.bound_check.worst_ratio),
+               rel(rep.bound_check.worst_ratio_printed, solo.bound_check.worst_ratio_printed),
+               rel(rep.final_state.data, solo.final_state.data))
+
+
 def test_nonfinite_carries_partial_report():
-    u0 = 5.0 * eigenfunction(D, 1)
+    # 8 phi1 at dt = 0.05 overflows at the fourth step; with samples every 2
+    # steps the last finite state lies between samples and is found by replay
+    dt = 0.05
+    u0 = 8.0 * eigenfunction(D, 1)
+    finite = 3.0 * eigenfunction(D, 1)
     for mu in (0.0, 0.5):
-        with pytest.raises(NonFinite) as exc:
-            integrate(u0, Params(9.5, mu), StepperConfig(dt=50.0, t_end=500.0, sample_every=1))
-        report = exc.value.report
-        assert report is not None
-        assert len(report.times) >= 1
-        assert np.all(np.isfinite(report.final_state.data))  # the last state before overflow
+        p = Params(9.5, mu)
+        states = [u0]
+        with pytest.raises(NonFinite):
+            while True:
+                states.append(step(states[-1], p, dt))
+        for sample_every in (1, 2, 3):
+            cfg = StepperConfig(dt=dt, t_end=1.0, sample_every=sample_every)
+            with pytest.raises(NonFinite) as exc:
+                integrate(u0, p, cfg)
+            report = exc.value.report
+            assert report.overflowed and not report.stopped_steady
+            np.testing.assert_array_equal(report.final_state.data, states[-1].data)
+            sampled = range(0, len(states), sample_every)
+            np.testing.assert_array_equal(report.times, [k * dt for k in sampled])
+            np.testing.assert_array_equal(report.l2_norms, [states[k].norm() for k in sampled])
+
+            # in a batch the overflowed member leaves with the same partial
+            # report and the finite member runs on as it does alone
+            ok, lost = integrate([finite, u0], p, cfg)
+            assert lost.overflowed
+            np.testing.assert_array_equal(lost.times, report.times)
+            gap = np.abs(lost.final_state.data - report.final_state.data).max()
+            assert gap <= 1e-12 * np.abs(report.final_state.data).max()
+            assert not ok.overflowed and ok.times[-1] == pytest.approx(1.0)
+            assert _report_deviation(ok, integrate(finite, p, cfg)) <= 1e-12
+
+
+def _settled(d, p):
+    mode = principal(d).critical_modes[0]
+    return newton(default_seed_scale(d, p) * eigenfunction(d, mode), p).state
+
+
+@pytest.mark.parametrize("case", ["dirichlet-mu0", "dirichlet-mu0.5", "odd-periodic-2d-band8"])
+def test_batch_matches_solo_runs(case):
+    if case.startswith("dirichlet"):
+        d, p = D, Params(9.5, 0.5 if case.endswith("0.5") else 0.0)
+        cfg = StepperConfig(dt=2e-3, t_end=4.0, sample_every=50)
+    else:  # the reduced-shadowing domain
+        d, p = Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=32, band=8), Params(0.01)
+        cfg = StepperConfig(dt=5e-3, t_end=4.0, sample_every=40)
+    rng = np.random.default_rng(7)
+    # the steady state settles after 10 samples and the perturbed one a few
+    # samples later, from another row, while the others keep running
+    steady = _settled(d, p)
+    fields = [random_field(d, rng, 1.0, unit_norm=True) * float(a) for a in (0.2, 0.6, 1.2)]
+    fields[1:1] = [steady, steady + 1e-8 * random_field(d, rng, 1.0, unit_norm=True)]
+    reports = integrate(fields, p, cfg)
+    solos = [integrate(f, p, cfg) for f in fields]
+    assert [r.stopped_steady for r in solos] == [False, True, True, False, False]
+    assert solos[1].times[-1] < solos[2].times[-1] < cfg.t_end
+    worst = max(_report_deviation(r, s) for r, s in zip(reports, solos))
+    assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["etd1", "etdrk2"])

@@ -6,6 +6,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shbif.errors import ParseError, RangeError, UsageError
@@ -13,6 +14,7 @@ from shbif.harness import (
     CheckResult,
     ExperimentConfig,
     VerificationReport,
+    _write_csv,
     default_config,
     parse_config,
     run_suite,
@@ -88,6 +90,29 @@ def test_report_determinism(tmp_path):
     ja["artifacts"] = jb["artifacts"] = []
     ja["metadata"]["config"]["out_dir"] = jb["metadata"]["config"]["out_dir"] = ""
     assert json.dumps(ja, sort_keys=True) == json.dumps(jb, sort_keys=True)
+
+
+def test_report_wall_seconds(tmp_path):
+    rep = run_suite("slaved-mode", out_dir=str(tmp_path))
+    assert rep.metadata["wall_seconds"] > 0
+    assert json.loads(rep.to_json())["metadata"]["wall_seconds"] > 0
+    assert "wall_seconds" not in json.loads(rep.to_json(drop_timestamp=True))["metadata"]
+
+
+def test_write_csv_numpy_scalars_parse(tmp_path):
+    path = _write_csv(tmp_path / "x.csv", "a,b,c",
+                      [(np.float64(0.1), np.float64(1e-300), 3), (1.5, np.float64(-2.0), 4)])
+    lines = Path(path).read_text().splitlines()
+    assert lines == ["a,b,c", "0.1,1e-300,3", "1.5,-2.0,4"]
+
+
+def test_decay_series_csv_parses(tmp_path):
+    run_suite("decay-subcritical", out_dir=str(tmp_path))
+    lines = (tmp_path / "decay-subcritical-series.csv").read_text().splitlines()
+    assert lines[0] == "run,t,l2"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert {int(r[0]) for r in rows} == set(range(20))
+    assert all(len(r) == 3 and math.isfinite(r[2]) for r in rows)
 
 
 def test_report_json_contains_tolerance_and_provenance(tmp_path):
@@ -190,6 +215,15 @@ def test_cli_steady_from_seed_file(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["states"][0]["l2_norm"] == pytest.approx(0.7236, abs=1e-3)
+
+
+def test_cli_verify_prints_wall_time(tmp_path, capsys):
+    rc = cli.main(["--out", str(tmp_path), "verify", "slaved-mode"])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    (line,) = [l for l in out if l.startswith("slaved-mode: ")]
+    assert line.endswith(" s")
+    assert float(line.split()[1]) >= 0
 
 
 def test_cli_verify_unknown_scenario(capsys):

@@ -15,6 +15,7 @@ from shbif.spectral import (
     GridField,
     Mode,
     SpectralField,
+    _product_maps,
     cube,
     grid_coords,
     inner,
@@ -166,6 +167,21 @@ def test_product_grid_bound_is_tight(domain, rng):
     # 4b Fourier points (2b - 1 DST-I points) alias 3b content onto the band
     f = _band_edge_field(domain, rng)
     assert oracles.compare_coeffs(_cube_on_fewer_points(f), oracles.cube_oracle(f)) > 1e-6
+
+
+@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=_domain_id)
+def test_product_maps_carry_batch_axes(domain, rng):
+    # a (2, 3, n) stack of coefficient vectors maps member by member
+    maps = [m for m in _product_maps(domain) if m is not None]
+    x = np.stack([[random_field(domain, rng, 1.0, smooth=False).data for _ in range(3)]
+                  for _ in range(2)])
+    g = maps[0](x)
+    assert g.shape[:2] == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        assert_allclose(g[i, j], maps[0](x[i, j]), rtol=0, atol=1e-14 * np.abs(g).max())
+        for project in maps[1:]:
+            assert_allclose(project(g)[i, j], project(g[i, j]), rtol=0,
+                            atol=1e-14 * np.abs(g).max())
 
 
 def test_square_dirichlet_quadrature():
