@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from shbif.harness import write_csv
 from shbif.reduced import build_reduced, cubic_flow, reduced_fixed_points
 from shbif.spectral import Domain
 
@@ -32,20 +33,11 @@ def main():
 
     scale = 1.4 * max(float(np.max(np.abs(f.y))) for f in fps)
     grid = np.linspace(-scale, scale, args.grid_points)
-    field_path = out / "reduced-flow-field.csv"
-    with open(field_path, "w") as fh:
-        fh.write("y1,y2,dy1,dy2\n")
-        for a in grid:
-            for b in grid:
-                dy = cubic_flow(np.array([a, b]), args.lam, sys)
-                fh.write(f"{float(a)!r},{float(b)!r},{float(dy[0])!r},{float(dy[1])!r}\n")
-
-    fp_path = out / "reduced-fixed-points.csv"
-    with open(fp_path, "w") as fh:
-        fh.write("y1,y2,kind,eig1,eig2\n")
-        for f in fps:
-            fh.write(f"{float(f.y[0])!r},{float(f.y[1])!r},{f.kind},"
-                     f"{float(f.eigenvalues[0])!r},{float(f.eigenvalues[1])!r}\n")
+    field_path = write_csv(out / "reduced-flow-field.csv", "y1,y2,dy1,dy2",
+                           ((a, b, *cubic_flow(np.array([a, b]), args.lam, sys))
+                            for a in grid for b in grid))
+    fp_path = write_csv(out / "reduced-fixed-points.csv", "y1,y2,kind,eig1,eig2",
+                        ((*f.y, f.kind, *f.eigenvalues) for f in fps))
     print(f"wrote {field_path} and {fp_path}")
 
 

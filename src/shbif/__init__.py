@@ -31,6 +31,8 @@ from .harness import (
     default_config,
     parse_config,
     run_suite,
+    write_csv_1d,
+    write_pgm_2d,
 )
 from .linear_analysis import (
     EigenSummary,
@@ -64,8 +66,6 @@ from .spectral import (
     to_spectral,
     translate,
     triple,
-    write_csv_1d,
-    write_pgm_2d,
 )
 from .steady import (
     Branch,

@@ -23,10 +23,13 @@ from .harness import (
     default_config,
     parse_config,
     run_suite,
+    write_csv,
+    write_csv_1d,
+    write_pgm_2d,
 )
 from .linear_analysis import principal
 from .reduced import build_reduced, predict_amplitudes, reduced_fixed_points
-from .spectral import SpectralField, to_grid, write_csv_1d, write_pgm_2d
+from .spectral import SpectralField, to_grid
 from .steady import find_all, newton, stability
 
 
@@ -37,22 +40,21 @@ def _json_out(obj, path: Path | None):
     print(text)
 
 
-def _base_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if getattr(args, "config", None):
+def _overlay(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    """cfg with --config, then the subcommand's flags, then the global flags."""
+    if args.config:
         cfg = parse_config(Path(args.config).read_text(), base=cfg)
-    for key in ("dim", "bc", "length", "grid_n", "band", "mu", "dt",
-                "t_end", "n_seeds"):
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in ("dim", "bc", "length", "grid_n", "band", "lam", "mu", "dt", "t_end",
+                "rng_seed", "jobs"):
+        val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    if getattr(args, "lam", None) is not None:
-        cfg.lam = args.lam
-    if args.rng_seed is not None:
-        cfg.rng_seed = args.rng_seed
-    cfg.jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     cfg.out_dir = args.out
     return cfg
+
+
+def _base_config(args) -> ExperimentConfig:
+    return _overlay(ExperimentConfig(jobs=os.cpu_count() or 1), args)
 
 
 def _seed_field(cfg: ExperimentConfig, args):
@@ -71,15 +73,10 @@ def _seed_field(cfg: ExperimentConfig, args):
 
 
 def _snapshot(field, out: Path, stem: str):
-    g = to_grid(field)
     if field.domain.dim == 1:
-        path = out / f"{stem}.csv"
-        write_csv_1d(g, path)
-        return str(path)
+        return write_csv_1d(to_grid(field), out / f"{stem}.csv")
     if field.domain.dim == 2:
-        path = out / f"{stem}.pgm"
-        write_pgm_2d(g, path)
-        return str(path)
+        return write_pgm_2d(to_grid(field), out / f"{stem}.pgm")
     return None
 
 
@@ -97,13 +94,8 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     u0 = _seed_field(cfg, args)
     rep = integrate(u0, cfg.params(), cfg.stepper())
-    rows = zip(rep.times, rep.l2_norms, rep.lyapunov_values)
-    series = out / "run-series.csv"
-    with open(series, "w") as fh:
-        fh.write("t,l2,lyapunov\n")
-        for t, l2, ly in rows:
-            fh.write(f"{float(t)!r},{float(l2)!r},{float(ly)!r}\n")
-    artifacts = [str(series)]
+    artifacts = [write_csv(out / "run-series.csv", "t,l2,lyapunov",
+                           zip(rep.times, rep.l2_norms, rep.lyapunov_values))]
     if args.snapshot:
         snap = _snapshot(rep.final_state, out, "run-final")
         if snap:
@@ -140,19 +132,18 @@ def cmd_sweep(args) -> int:
     cfg = _base_config(args)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lams = np.linspace(args.lambda_min, args.lambda_max, args.steps)
-    path = out / "sweep.csv"
     crit = principal(cfg.domain()).critical_modes[0]
-    with open(path, "w") as fh:
-        fh.write("lambda,state_id,l2_norm,critical_amplitude,morse_index\n")
-        for lam in lams:
-            lam = float(lam)
-            states = find_all(cfg.domain(), Params(lam, cfg.mu),
+
+    def rows():
+        for lam in np.linspace(args.lambda_min, args.lambda_max, args.steps):
+            states = find_all(cfg.domain(), Params(float(lam), cfg.mu),
                               n_seeds=args.nseeds, rng_seed=cfg.rng_seed,
                               jobs=cfg.jobs)
             for i, s in enumerate(states):
-                amp = s.state.coeff(crit)
-                fh.write(f"{lam!r},{i},{s.norm!r},{amp!r},{s.morse_index}\n")
+                yield lam, i, s.norm, s.state.coeff(crit), s.morse_index
+
+    path = write_csv(out / "sweep.csv",
+                     "lambda,state_id,l2_norm,critical_amplitude,morse_index", rows())
     print(f"wrote {path}")
     return 0
 
@@ -161,7 +152,7 @@ def cmd_reduce(args) -> int:
     cfg = _base_config(args)
     d = cfg.domain()
     sys = build_reduced(d)
-    fps = reduced_fixed_points(sys, cfg.lam)
+    fps = reduced_fixed_points(sys, cfg.lam, cfg.mu)
     pred = predict_amplitudes(d, cfg.params())
     doc = {
         "reduced_system": sys.as_dict(),
@@ -178,15 +169,7 @@ def cmd_verify(args) -> int:
     names = sorted(SCENARIOS) if args.scenario == "all" else [args.scenario]
     ok = True
     for name in names:
-        cfg = default_config(name)
-        if args.config:
-            cfg = parse_config(Path(args.config).read_text(), base=cfg)
-        if args.rng_seed is not None:
-            cfg.rng_seed = args.rng_seed
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
-        cfg.out_dir = args.out
-        report = run_suite(name, cfg)
+        report = run_suite(name, _overlay(default_config(name), args))
         for line in report.summary_lines():
             print(line)
         print(f"{name}: {report.metadata['wall_seconds']:.2f} s")

@@ -81,6 +81,8 @@ class StepperConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise RangeError("dt must be positive")
+        if self.t_end <= 0:
+            raise RangeError("t_end must be positive")
         if self.scheme not in SCHEMES:
             raise RangeError(f"scheme must be one of {SCHEMES}")
         if self.sample_every < 1:

@@ -1,8 +1,13 @@
-"""Experiment harness: configs, verification scenarios, report emission.
+"""Experiment harness: configs, verification scenarios, reports, CSV and
+snapshot export.
 
 Each scenario reproduces one closed-form claim about the bifurcation
 structure of the equation and reports every number with its tolerance and
-provenance.  Scenario ids:
+provenance.  SCENARIOS registers each id once, with its function and its
+config overrides; default_config builds a new config from it on every call.
+parse_config leaves each range rule to the type that owns it (Domain,
+Params, StepperConfig).  Every CSV in the package is written by write_csv.
+Scenario ids:
 
     decay-subcritical     exponential L2 decay below the critical value
     decay-critical        algebraic L2 decay at the critical value
@@ -38,7 +43,7 @@ import scipy
 import scipy.integrate as sintegrate
 
 from . import oracles
-from .dynamics import Params, StepperConfig, basin_probe, integrate
+from .dynamics import Params, StepperConfig, basin_probe, check_params, integrate
 from .errors import NonFinite, ParseError, RangeError, UsageError
 from .linear_analysis import eigenfunction, principal
 from .reduced import (
@@ -49,10 +54,11 @@ from .reduced import (
     torus_points,
 )
 from .spectral import (
-    BoundaryCondition,
     Domain,
+    GridField,
     SpectralField,
     cube,
+    grid_coords,
     inner,
     random_field,
     square,
@@ -150,22 +156,9 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
 
 
 def _validate(cfg: ExperimentConfig):
-    if cfg.dim not in (1, 2, 3):
-        raise RangeError(f"dim must be 1, 2 or 3, got {cfg.dim}")
-    try:
-        bc = BoundaryCondition.coerce(cfg.bc)
-    except ValueError as err:
-        raise RangeError(str(err)) from err
-    if bc is BoundaryCondition.DIRICHLET and cfg.dim != 1:
-        raise RangeError("dirichlet boundary condition requires dim=1")
-    if cfg.length <= 0:
-        raise RangeError("length must be positive")
-    if cfg.mu < 0:
-        raise RangeError("mu must be >= 0")
-    if cfg.mu > 0 and bc is not BoundaryCondition.DIRICHLET:
-        raise RangeError("mu > 0 requires the dirichlet boundary condition")
-    if cfg.dt <= 0 or cfg.t_end <= 0:
-        raise RangeError("dt and t_end must be positive")
+    """Each rule lives in the type that owns it; build those types."""
+    check_params(cfg.domain(), cfg.params())
+    cfg.stepper()
     if cfg.n_seeds < 1:
         raise RangeError("n_seeds must be >= 1")
     if cfg.jobs < 1:
@@ -245,7 +238,8 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _write_csv(path: Path, header: str, rows) -> str:
+def write_csv(path: Path, header: str, rows) -> str:
+    """Write a header line and one line per row; floats (numpy ones too) as repr."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -254,18 +248,35 @@ def _write_csv(path: Path, header: str, rows) -> str:
     return str(path)
 
 
+def write_csv_1d(g: GridField, path) -> str:
+    """CSV snapshot with columns x,u."""
+    if g.domain.dim != 1:
+        raise ValueError("CSV snapshot export is 1-d only")
+    return write_csv(path, "x,u", zip(grid_coords(g.domain)[0], g.values))
+
+
+def write_pgm_2d(g: GridField, path) -> str:
+    """Grayscale PGM snapshot, values linearly rescaled to 0..255."""
+    if g.domain.dim != 2:
+        raise ValueError("PGM snapshot export is 2-d only")
+    v = g.values
+    lo, hi = float(v.min()), float(v.max())
+    if hi - lo < 1e-300:
+        pix = np.full(v.shape, 128, dtype=int)
+    else:
+        pix = np.rint((v - lo) / (hi - lo) * 255.0).astype(int)
+    with open(path, "w") as fh:
+        fh.write(f"P2\n{v.shape[1]} {v.shape[0]}\n255\n")
+        for row in pix:
+            fh.write(" ".join(str(p) for p in row) + "\n")
+    return str(path)
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _cfg_decay(lam: float) -> ExperimentConfig:
-    return ExperimentConfig(dim=1, bc="dirichlet", length=math.pi / 2,
-                            grid_n=64, band=16, lam=lam, mu=0.0, dt=1e-3,
-                            t_end=20.0, sample_every=50, n_seeds=20,
-                            rng_seed=12345)
-
-
-def _run_decay(cfg: ExperimentConfig, out: Path | None):
+def _run_decay(cfg: ExperimentConfig, out: Path):
     d = cfg.domain()
     p = cfg.params()
     rng = np.random.default_rng(cfg.rng_seed)
@@ -283,14 +294,11 @@ def _run_decay(cfg: ExperimentConfig, out: Path | None):
         worst_printed = max(worst_printed, rep.bound_check.worst_ratio_printed)
         worst_final = max(worst_final, rep.l2_norms[-1] / rep.l2_norms[0])
         rows.extend((run, t, l2) for t, l2 in zip(rep.times, rep.l2_norms))
-    artifacts = []
-    if out is not None:
-        artifacts.append(_write_csv(out / f"{cfg.scenario}-series.csv",
-                                    "run,t,l2", rows))
+    artifacts = [write_csv(out / f"{cfg.scenario}-series.csv", "run,t,l2", rows)]
     return worst, worst_printed, worst_final, artifacts
 
 
-def _scenario_decay_subcritical(cfg: ExperimentConfig, out: Path | None):
+def _scenario_decay_subcritical(cfg: ExperimentConfig, out: Path):
     worst, worst_p, _, artifacts = _run_decay(cfg, out)
     checks = [CheckResult(
         "l2-within-exponential-envelope", 1.0, worst, 1e-6,
@@ -301,7 +309,7 @@ def _scenario_decay_subcritical(cfg: ExperimentConfig, out: Path | None):
     return checks, artifacts
 
 
-def _scenario_decay_critical(cfg: ExperimentConfig, out: Path | None):
+def _scenario_decay_critical(cfg: ExperimentConfig, out: Path):
     worst, worst_p, worst_final, artifacts = _run_decay(cfg, out)
     checks = [
         CheckResult(
@@ -319,7 +327,7 @@ def _scenario_decay_critical(cfg: ExperimentConfig, out: Path | None):
     return checks, artifacts
 
 
-def _scenario_decay_supercritical(cfg: ExperimentConfig, out: Path | None):
+def _scenario_decay_supercritical(cfg: ExperimentConfig, out: Path):
     worst, worst_p, _, artifacts = _run_decay(cfg, out)
     checks = [CheckResult(
         "l2sq-within-logistic-cap", 1.0, worst, 1e-9,
@@ -330,7 +338,7 @@ def _scenario_decay_supercritical(cfg: ExperimentConfig, out: Path | None):
     return checks, artifacts
 
 
-def _scenario_pitchfork_amplitude(cfg: ExperimentConfig, out: Path | None):
+def _scenario_pitchfork_amplitude(cfg: ExperimentConfig, out: Path):
     d = cfg.domain()
     lam_c = principal(d).lambda_c
     lams = [9.05, 9.1, 9.2, 9.35, 9.5]
@@ -349,10 +357,8 @@ def _scenario_pitchfork_amplitude(cfg: ExperimentConfig, out: Path | None):
             profile_cos = inner(s.state, phi1) / s.state.norm()
     beta = np.asarray(lams) - lam_c
     slope = float(np.polyfit(beta, np.asarray(amps) ** 2, 1)[0])
-    artifacts = []
-    if out is not None:
-        artifacts.append(_write_csv(out / "pitchfork-amplitude.csv",
-                                    "lambda,amplitude,amplitude_sq,beta", rows))
+    artifacts = [write_csv(out / "pitchfork-amplitude.csv",
+                           "lambda,amplitude,amplitude_sq,beta", rows)]
     checks = [
         CheckResult(
             "amplitude-sq-slope", 4.0 / 3.0, slope, 0.03 * 4.0 / 3.0,
@@ -368,7 +374,7 @@ def _scenario_pitchfork_amplitude(cfg: ExperimentConfig, out: Path | None):
     return checks, artifacts
 
 
-def _scenario_pitchfork_census(cfg: ExperimentConfig, out: Path | None):
+def _scenario_pitchfork_census(cfg: ExperimentConfig, out: Path):
     d = cfg.domain()
     p = cfg.params()
     states = find_all(d, p, n_seeds=cfg.n_seeds, rng_seed=cfg.rng_seed,
@@ -385,7 +391,7 @@ def _scenario_pitchfork_census(cfg: ExperimentConfig, out: Path | None):
             "states-are-mirror-pair", 0.0, mirror, 1e-8, mirror <= 1e-8,
             "odd symmetry: u2 = -u1",
         ))
-        total = index_sum(nz, 1)
+        total = index_sum(nz)
         checks.append(CheckResult(
             "index-sum", 2, total, 0, total == 2,
             "index formula: sum of (-1)^morse equals 2 for odd multiplicity",
@@ -400,12 +406,9 @@ def _scenario_pitchfork_census(cfg: ExperimentConfig, out: Path | None):
         "stable manifold of 0 separates the two basins; every seed resolves",
         f"labels: u1={labels.count('u1')}, u2={labels.count('u2')}",
     ))
-    artifacts = []
-    if out is not None:
-        rows = [(i, s.norm, s.state.coeff(1), s.morse_index) for i, s in enumerate(nz)]
-        artifacts.append(_write_csv(out / "pitchfork-census.csv",
-                                    "state,l2_norm,coeff1,morse_index", rows))
-    return checks, artifacts
+    rows = [(i, s.norm, s.state.coeff(1), s.morse_index) for i, s in enumerate(nz)]
+    return checks, [write_csv(out / "pitchfork-census.csv",
+                              "state,l2_norm,coeff1,morse_index", rows)]
 
 
 def transcritical_amplitude(beta1: float, mu: float) -> float:
@@ -422,7 +425,7 @@ def transcritical_amplitude(beta1: float, mu: float) -> float:
     return -2.0 * beta1 / (c + math.sqrt(c * c + 3.0 * beta1))
 
 
-def _scenario_gsh_transcritical(cfg: ExperimentConfig, out: Path | None):
+def _scenario_gsh_transcritical(cfg: ExperimentConfig, out: Path):
     d = cfg.domain()
     lam_c = principal(d).lambda_c
     mu = cfg.mu
@@ -489,16 +492,12 @@ def _scenario_gsh_transcritical(cfg: ExperimentConfig, out: Path | None):
         f"cubic fit of the relative error: intercept {intercept:.3g} (bound 1e-3), "
         f"slope relative deviation {slope_rel:.3g}",
     ))
-    artifacts = []
-    if out is not None:
-        rows = sorted((lam, amp, law(lam), balance(lam))
-                      for lam, (_s, amp) in solved.items())
-        artifacts.append(_write_csv(out / "gsh-transcritical.csv",
-                                    "lambda,amplitude,law,balance", rows))
-    return checks, artifacts
+    rows = sorted((lam, amp, law(lam), balance(lam)) for lam, (_s, amp) in solved.items())
+    return checks, [write_csv(out / "gsh-transcritical.csv",
+                              "lambda,amplitude,law,balance", rows)]
 
 
-def _scenario_odd_periodic_census(cfg: ExperimentConfig, out: Path | None):
+def _scenario_odd_periodic_census(cfg: ExperimentConfig, out: Path):
     t0 = time.perf_counter()
     d = cfg.domain()
     p = cfg.params()
@@ -537,7 +536,7 @@ def _scenario_odd_periodic_census(cfg: ExperimentConfig, out: Path | None):
         "two minimal attractors and two saddles on the invariant circle",
         f"attractors={n_attr}, saddles={n_saddle}",
     ))
-    total = index_sum(nz, 2)
+    total = index_sum(nz)
     checks.append(CheckResult(
         "index-sum", 0, total, 0, total == 0,
         "index formula: sum of (-1)^morse equals 0 for even multiplicity",
@@ -547,14 +546,11 @@ def _scenario_odd_periodic_census(cfg: ExperimentConfig, out: Path | None):
         "runtime-seconds", 300.0, elapsed, 0.0, elapsed <= 300.0,
         "census completes within five minutes at the stated resolution",
     ))
-    artifacts = []
-    if out is not None:
-        artifacts.append(_write_csv(out / "odd-periodic-census.csv",
-                                    "state,y1,y2,l2_norm,morse_index", rows))
-    return checks, artifacts
+    return checks, [write_csv(out / "odd-periodic-census.csv",
+                              "state,y1,y2,l2_norm,morse_index", rows)]
 
 
-def _scenario_periodic_torus(cfg: ExperimentConfig, out: Path | None):
+def _scenario_periodic_torus(cfg: ExperimentConfig, out: Path):
     d = cfg.domain()
     p = cfg.params()
     thetas = [[2.0 * math.pi * j / 16.0] for j in range(16)]
@@ -589,15 +585,12 @@ def _scenario_periodic_torus(cfg: ExperimentConfig, out: Path | None):
             "torus states are stable transverse to the translation orbit",
         ),
     ]
-    artifacts = []
-    if out is not None:
-        rows = [(t[0], n, r, c) for t, n, r, c in zip(thetas, norms, res, neutral_counts)]
-        artifacts.append(_write_csv(out / "periodic-torus.csv",
-                                    "theta,l2_norm,residual,neutral_count", rows))
-    return checks, artifacts
+    rows = [(t[0], n, r, c) for t, n, r, c in zip(thetas, norms, res, neutral_counts)]
+    return checks, [write_csv(out / "periodic-torus.csv",
+                              "theta,l2_norm,residual,neutral_count", rows)]
 
 
-def _scenario_slaved_mode(cfg: ExperimentConfig, out: Path | None):
+def _scenario_slaved_mode(cfg: ExperimentConfig, out: Path):
     d = cfg.domain()
     p = cfg.params()
     s = newton(default_seed_scale(d, p) * eigenfunction(d, 1), p)
@@ -615,7 +608,7 @@ def _scenario_slaved_mode(cfg: ExperimentConfig, out: Path | None):
     return checks, []
 
 
-def _scenario_reduced_shadowing(cfg: ExperimentConfig, out: Path | None):
+def _scenario_reduced_shadowing(cfg: ExperimentConfig, out: Path):
     d = cfg.domain()
     lam = cfg.lam
     sys = build_reduced(d)
@@ -650,13 +643,9 @@ def _scenario_reduced_shadowing(cfg: ExperimentConfig, out: Path | None):
         "critical-amplitude-shadowing", 0.0, worst, 0.10, worst <= 0.10,
         "reduced amplitude flow tracks the full dynamics to 10% over [0,50]",
     )]
-    artifacts = []
-    if out is not None:
-        rows = [(t, yp[0], yp[1], yr[0], yr[1])
-                for t, yp, yr in zip(t_samples, ys_pde, ys_red)]
-        artifacts.append(_write_csv(out / "reduced-shadowing.csv",
-                                    "t,y1_pde,y2_pde,y1_reduced,y2_reduced", rows))
-    return checks, artifacts
+    rows = [(t, yp[0], yp[1], yr[0], yr[1]) for t, yp, yr in zip(t_samples, ys_pde, ys_red)]
+    return checks, [write_csv(out / "reduced-shadowing.csv",
+                              "t,y1_pde,y2_pde,y1_reduced,y2_reduced", rows)]
 
 
 def _roundtrip_worst(rng) -> float:
@@ -758,7 +747,7 @@ def _lyapunov_violations(rng) -> tuple[float, int]:
     return float(worst), steps
 
 
-def _scenario_infrastructure(cfg: ExperimentConfig, out: Path | None):
+def _scenario_infrastructure(cfg: ExperimentConfig, out: Path):
     rng = np.random.default_rng(cfg.rng_seed)
     rt = _roundtrip_worst(rng)
     orc = _product_oracle_worst(rng)
@@ -782,70 +771,57 @@ def _scenario_infrastructure(cfg: ExperimentConfig, out: Path | None):
     return checks, []
 
 
+_DIRICHLET_16 = dict(dim=1, bc="dirichlet", length=math.pi / 2, grid_n=64, band=16)
+_DECAY = dict(_DIRICHLET_16, n_seeds=20)
+_ODD_PERIODIC_2D = dict(dim=2, bc="odd-periodic", length=2 * math.pi)
+
+# scenario id -> (scenario function, overrides of the ExperimentConfig defaults)
 SCENARIOS = {
-    "decay-subcritical": _scenario_decay_subcritical,
-    "decay-critical": _scenario_decay_critical,
-    "decay-supercritical": _scenario_decay_supercritical,
-    "pitchfork-amplitude": _scenario_pitchfork_amplitude,
-    "pitchfork-census": _scenario_pitchfork_census,
-    "gsh-transcritical": _scenario_gsh_transcritical,
-    "odd-periodic-census": _scenario_odd_periodic_census,
-    "periodic-torus": _scenario_periodic_torus,
-    "slaved-mode": _scenario_slaved_mode,
-    "reduced-shadowing": _scenario_reduced_shadowing,
-    "infrastructure": _scenario_infrastructure,
+    "decay-subcritical": (_scenario_decay_subcritical, dict(_DECAY, lam=8.0)),
+    "decay-critical": (_scenario_decay_critical, dict(_DECAY, lam=9.0)),
+    "decay-supercritical": (_scenario_decay_supercritical, dict(_DECAY, lam=9.5)),
+    "pitchfork-amplitude": (_scenario_pitchfork_amplitude, dict(_DIRICHLET_16, lam=9.5)),
+    "pitchfork-census": (_scenario_pitchfork_census,
+                         dict(_DIRICHLET_16, lam=9.5, n_seeds=100)),
+    "gsh-transcritical": (_scenario_gsh_transcritical,
+                          dict(_DIRICHLET_16, lam=8.9, mu=1.0)),
+    "odd-periodic-census": (_scenario_odd_periodic_census,
+                            dict(_ODD_PERIODIC_2D, grid_n=256, band=64, lam=0.2,
+                                 n_seeds=100, jobs=min(2, os.cpu_count() or 1))),
+    "periodic-torus": (_scenario_periodic_torus,
+                       dict(dim=1, bc="periodic", length=2 * math.pi, grid_n=512,
+                            band=128, lam=0.2)),
+    "slaved-mode": (_scenario_slaved_mode, dict(_DIRICHLET_16, lam=9.2)),
+    "reduced-shadowing": (_scenario_reduced_shadowing,
+                          dict(_ODD_PERIODIC_2D, grid_n=32, band=8, lam=0.01,
+                               dt=5e-3, t_end=50.0)),
+    "infrastructure": (_scenario_infrastructure, {}),
 }
 
 
+def _scenario(name: str):
+    try:
+        return SCENARIOS[name]
+    except KeyError:
+        raise UsageError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}") from None
+
+
 def default_config(name: str) -> ExperimentConfig:
-    if name == "decay-subcritical":
-        cfg = _cfg_decay(8.0)
-    elif name == "decay-critical":
-        cfg = _cfg_decay(9.0)
-    elif name == "decay-supercritical":
-        cfg = _cfg_decay(9.5)
-    elif name == "pitchfork-amplitude":
-        cfg = ExperimentConfig(dim=1, bc="dirichlet", length=math.pi / 2,
-                               grid_n=64, band=16, lam=9.5)
-    elif name == "pitchfork-census":
-        cfg = ExperimentConfig(dim=1, bc="dirichlet", length=math.pi / 2,
-                               grid_n=64, band=16, lam=9.5, n_seeds=100)
-    elif name == "gsh-transcritical":
-        cfg = ExperimentConfig(dim=1, bc="dirichlet", length=math.pi / 2,
-                               grid_n=64, band=16, lam=8.9, mu=1.0)
-    elif name == "odd-periodic-census":
-        cfg = ExperimentConfig(dim=2, bc="odd-periodic", length=2 * math.pi,
-                               grid_n=256, band=64, lam=0.2, n_seeds=100,
-                               jobs=min(2, os.cpu_count() or 1))
-    elif name == "periodic-torus":
-        cfg = ExperimentConfig(dim=1, bc="periodic", length=2 * math.pi,
-                               grid_n=512, band=128, lam=0.2)
-    elif name == "slaved-mode":
-        cfg = ExperimentConfig(dim=1, bc="dirichlet", length=math.pi / 2,
-                               grid_n=64, band=16, lam=9.2)
-    elif name == "reduced-shadowing":
-        cfg = ExperimentConfig(dim=2, bc="odd-periodic", length=2 * math.pi,
-                               grid_n=32, band=8, lam=0.01, dt=5e-3, t_end=50.0)
-    elif name == "infrastructure":
-        cfg = ExperimentConfig()
-    else:
-        raise UsageError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
-    cfg.scenario = name
-    return cfg
+    """A new config holding the scenario's defaults."""
+    return ExperimentConfig(scenario=name, **_scenario(name)[1])
 
 
 def run_suite(name: str, cfg: ExperimentConfig | None = None,
               out_dir: str | None = None) -> VerificationReport:
     """Run one scenario and emit its report (JSON) and CSV artifacts."""
-    if name not in SCENARIOS:
-        raise UsageError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
+    run = _scenario(name)[0]
     if cfg is None:
         cfg = default_config(name)
     cfg.scenario = name
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    checks, artifacts = SCENARIOS[name](cfg, out)
+    checks, artifacts = run(cfg, out)
     report = VerificationReport(name, checks, _metadata(cfg), artifacts)
     report.metadata["wall_seconds"] = time.perf_counter() - t0
     path = out / f"{name}-report.json"

@@ -178,38 +178,51 @@ def _coupling_matrix(sys: ReducedSystem) -> np.ndarray:
     return C
 
 
-def reduced_fixed_points(sys: ReducedSystem, lam: float) -> list[ReducedFixedPoint]:
-    """All equilibria of the cubic reduced flow, classified.
+def reduced_fixed_points(sys: ReducedSystem, lam: float,
+                         mu: float = 0.0) -> list[ReducedFixedPoint]:
+    """All equilibria of the reduced flow, classified.
 
-    Enumerates support patterns: on each support S the squared amplitudes
-    solve the linear system sum_j C[i,j] a_j^2 = beta1, i in S.  Candidates
-    are verified against the full tensor flow before classification.
+    For mu = 0 it enumerates support patterns: on each support S the
+    squared amplitudes solve the linear system sum_j C[i,j] a_j^2 = beta1,
+    i in S.  For mu != 0 there is one critical mode, and the nonzero
+    equilibria are the real roots of T y^2 - mu Q y - beta1 = 0.
+    Candidates are verified against the full tensor flow before
+    classification.
     """
     beta1 = sys.beta1(lam)
-    C = _coupling_matrix(sys)
     m = sys.m
     sols = [np.zeros(m)]
-    for r in range(1, m + 1):
-        for support in itertools.combinations(range(m), r):
-            sub = C[np.ix_(support, support)]
-            try:
-                sq = np.linalg.solve(sub, np.full(r, beta1))
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(sq <= 0):
-                continue
-            amps = np.sqrt(sq)
-            for signs in itertools.product((1.0, -1.0), repeat=r):
-                y = np.zeros(m)
-                y[list(support)] = amps * np.asarray(signs)
-                sols.append(y)
+    if mu != 0.0:
+        if m != 1:
+            raise ExplicitDegeneracy("mu != 0 needs a single critical mode")
+        t, q = sys.cubic[0, 0, 0, 0], mu * sys.quadratic[0, 0, 0]
+        disc = q * q + 4.0 * t * beta1
+        if disc >= 0:
+            roots = {(q + sgn * math.sqrt(disc)) / (2.0 * t) for sgn in (1.0, -1.0)}
+            sols.extend(np.array([r]) for r in sorted(roots))
+    else:
+        C = _coupling_matrix(sys)
+        for r in range(1, m + 1):
+            for support in itertools.combinations(range(m), r):
+                sub = C[np.ix_(support, support)]
+                try:
+                    sq = np.linalg.solve(sub, np.full(r, beta1))
+                except np.linalg.LinAlgError:
+                    continue
+                if np.any(sq <= 0):
+                    continue
+                amps = np.sqrt(sq)
+                for signs in itertools.product((1.0, -1.0), repeat=r):
+                    y = np.zeros(m)
+                    y[list(support)] = amps * np.asarray(signs)
+                    sols.append(y)
     scale = max(1.0, abs(beta1))
     out = []
     for y in sols:
-        if np.linalg.norm(cubic_flow(y, lam, sys)) > 1e-9 * scale:
+        if np.linalg.norm(cubic_flow(y, lam, sys, mu)) > 1e-9 * scale:
             continue
-        eigs = np.linalg.eigvalsh(0.5 * (reduced_jacobian(y, lam, sys)
-                                         + reduced_jacobian(y, lam, sys).T))
+        jac = reduced_jacobian(y, lam, sys, mu)
+        eigs = np.linalg.eigvalsh(0.5 * (jac + jac.T))
         if np.any(np.abs(eigs) < 1e-8):
             kind = "degenerate"
         elif np.all(eigs < 0):

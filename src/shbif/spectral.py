@@ -16,7 +16,9 @@ products are those of the vector.  Fourier transforms scatter the vector
 into the last-axis columns 0..b of an rfftn half-spectrum, with complex
 coefficient c_K = (z_K - i y_K) / sqrt(2V) at K and its conjugate at -K,
 and gather it back from there; the real part of a transformed real field
-and its parity need no separate symmetrisation.
+and its parity need no separate symmetrisation.  This layout is decoded
+here only: other modules reach it through SpectralField, the product maps,
+translate and max_translation_inner.
 
 Nonlinear products are evaluated pointwise on a product grid sized from the
 band alone and projected back onto the retained band; they are exact there.
@@ -112,6 +114,8 @@ class Domain:
 
     @staticmethod
     def make(dim, length, bc, grid_n=None, band=None) -> "Domain":
+        if dim not in _DEFAULT_GRID:
+            raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
         bc = BoundaryCondition.coerce(bc)
         length = _per_axis(length, dim, float)
         if grid_n is None:
@@ -585,6 +589,21 @@ def translate(f: SpectralField, shifts: tuple[int, ...]) -> SpectralField:
     return SpectralField(d, np.concatenate([c * y + s * z, c * z - s * y]))
 
 
+def max_translation_inner(a: SpectralField, b: SpectralField) -> float:
+    """max over grid shifts s of <a, translate(b, s)> for periodic fields.
+
+    The correlation over shifts has complex coefficients a_K conj(b_K); the
+    (y, z) pairs of q encode cscale times them, so its grid synthesis is
+    cscale times the correlation.
+    """
+    d = a.domain
+    lat = _lattice(d)
+    n = lat.nhalf
+    ya, za, yb, zb = a.data[:n], a.data[n:], b.data[:n], b.data[n:]
+    q = np.concatenate([ya * zb - za * yb, za * zb + ya * yb])
+    return d.volume / lat.cscale * float(_fourier_synthesis(q, d, d.grid_n).max())
+
+
 def random_field(domain: Domain, rng: np.random.Generator, scale: float = 1.0,
                  smooth: bool = True, unit_norm: bool = False) -> SpectralField:
     """Random field with independent Gaussian coefficients.
@@ -601,34 +620,3 @@ def random_field(domain: Domain, rng: np.random.Generator, scale: float = 1.0,
         if n > 0:
             f = f * (1.0 / n)
     return f
-
-
-# ---------------------------------------------------------------------------
-# snapshot export
-# ---------------------------------------------------------------------------
-
-def write_csv_1d(g: GridField, path):
-    """CSV snapshot with columns x,u."""
-    if g.domain.dim != 1:
-        raise ValueError("CSV snapshot export is 1-d only")
-    x = grid_coords(g.domain)[0]
-    with open(path, "w") as fh:
-        fh.write("x,u\n")
-        for xv, uv in zip(x, g.values):
-            fh.write(f"{xv!r},{uv!r}\n")
-
-
-def write_pgm_2d(g: GridField, path):
-    """Grayscale PGM snapshot, values linearly rescaled to 0..255."""
-    if g.domain.dim != 2:
-        raise ValueError("PGM snapshot export is 2-d only")
-    v = g.values
-    lo, hi = float(v.min()), float(v.max())
-    if hi - lo < 1e-300:
-        pix = np.full(v.shape, 128, dtype=int)
-    else:
-        pix = np.rint((v - lo) / (hi - lo) * 255.0).astype(int)
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{v.shape[1]} {v.shape[0]}\n255\n")
-        for row in pix:
-            fh.write(" ".join(str(p) for p in row) + "\n")

@@ -34,11 +34,10 @@ from .spectral import (
     BoundaryCondition,
     Domain,
     SpectralField,
-    _fourier_synthesis,
-    _lattice,
     _product_maps,
     cube,
     inner,
+    max_translation_inner,
     random_field,
     square,
 )
@@ -95,6 +94,7 @@ class _Jacobian:
 
     def __init__(self, u: SpectralField, p: Params):
         self.domain = u.domain
+        self.n = len(u.data)
         self.p = p
         self.beta = growth_array(u.domain, p.lam)
         self.synthesize, self.odd, self.even = _product_maps(u.domain)
@@ -103,8 +103,7 @@ class _Jacobian:
         self.w_even = 2.0 * p.mu * gu if p.mu != 0.0 else None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """J x on coefficient vectors; (n, 1) columns are read as (n,)."""
-        x = np.asarray(x, dtype=float).reshape(-1)
+        """J x on coefficient arrays of shape (..., n), row by row."""
         gx = self.synthesize(x)
         even = None if self.w_even is None else self.even(self.w_even * gx)
         gx *= self.w_odd  # in place: one product-grid array fewer alive
@@ -112,8 +111,9 @@ class _Jacobian:
         return out if even is None else out + even
 
     def as_linear_operator(self) -> spla.LinearOperator:
-        n = _lattice(self.domain).nflat
-        return spla.LinearOperator((n, n), matvec=self.apply, dtype=float)
+        # scipy hands matvec (n,) vectors or (n, 1) columns
+        return spla.LinearOperator((self.n, self.n), dtype=float,
+                                   matvec=lambda v: self.apply(v.reshape(-1)))
 
 
 def jacobian_apply(u: SpectralField, p: Params, v: SpectralField) -> SpectralField:
@@ -188,7 +188,7 @@ def _leading_eigs_lobpcg(jac: _Jacobian, k: int) -> np.ndarray:
     """
     import warnings
 
-    n = _lattice(jac.domain).nflat
+    n = jac.n
     beta = growth_array(jac.domain, jac.p.lam)
     idx = np.argsort(-beta)[:k]
     x0 = np.zeros((n, k))
@@ -223,15 +223,10 @@ def stability(s: SteadyState, *, n_eigs: int = 10) -> SteadyState:
     """
     p = Params(s.lam, s.mu)
     jac = _Jacobian(s.state, p)
-    n = _lattice(s.state.domain).nflat
+    n = jac.n
     periodic = s.state.domain.bc is BoundaryCondition.PERIODIC
     if n <= DENSE_LIMIT:
-        mat = np.empty((n, n))
-        e = np.zeros(n)
-        for i in range(n):
-            e[i] = 1.0
-            mat[:, i] = jac.apply(e)
-            e[i] = 0.0
+        mat = jac.apply(np.eye(n))  # row i is J e_i: the transpose of J
         evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
     else:
         k = min(max(n_eigs, 8), n - 2)
@@ -263,21 +258,6 @@ def default_seed_scale(domain: Domain, p: Params) -> float:
     return 0.3
 
 
-def _translation_max_inner(a: SpectralField, b: SpectralField) -> float:
-    """max over grid shifts s of <a, b(. - s)> for periodic fields.
-
-    The correlation over shifts has complex coefficients a_K conj(b_K); the
-    (y, z) pairs of q encode cscale times them, so its grid synthesis is
-    cscale times the correlation.
-    """
-    d = a.domain
-    lat = _lattice(d)
-    n = lat.nhalf
-    ya, za, yb, zb = a.data[:n], a.data[n:], b.data[:n], b.data[n:]
-    q = np.concatenate([ya * zb - za * yb, za * zb + ya * yb])
-    return d.volume / lat.cscale * float(_fourier_synthesis(q, d, d.grid_n).max())
-
-
 def orbit_distance(a: SpectralField, b: SpectralField, p: Params,
                    mode: str = "symmetry") -> float:
     """L2 distance between a and the orbit of b under the symmetry group.
@@ -293,7 +273,7 @@ def orbit_distance(a: SpectralField, b: SpectralField, p: Params,
     if a.domain.bc is BoundaryCondition.PERIODIC:
         na2, nb2 = a.norm() ** 2, b.norm() ** 2
         for sgn in signs:
-            m = _translation_max_inner(a, sgn * b)
+            m = max_translation_inner(a, sgn * b)
             best = min(best, float(np.sqrt(max(0.0, na2 + nb2 - 2.0 * m))))
     elif -1.0 in signs:
         best = min(best, (a + b).norm())
@@ -348,7 +328,7 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
     return kept
 
 
-def index_sum(states: list[SteadyState], m: int) -> int:
+def index_sum(states: list[SteadyState]) -> int:
     """Sum of (-1)^morse over the given states.
 
     For an attractor bifurcated from a critical eigenvalue of multiplicity m

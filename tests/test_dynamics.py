@@ -82,6 +82,12 @@ def test_scheme_validation():
         StepperConfig(dt=-1e-3, t_end=1.0)
 
 
+@pytest.mark.parametrize("t_end", [0.0, -5.0])
+def test_stepper_rejects_nonpositive_t_end(t_end):
+    with pytest.raises(RangeError):
+        StepperConfig(t_end=t_end)
+
+
 def test_etd1_first_order():
     p = Params(9.5)
     u0 = 0.4 * eigenfunction(D, 1)

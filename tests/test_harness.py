@@ -11,13 +11,14 @@ import pytest
 
 from shbif.errors import ParseError, RangeError, UsageError
 from shbif.harness import (
+    SCENARIOS,
     CheckResult,
     ExperimentConfig,
     VerificationReport,
-    _write_csv,
     default_config,
     parse_config,
     run_suite,
+    write_csv,
 )
 from shbif import cli
 
@@ -69,6 +70,35 @@ def test_parse_config_bad_value():
         parse_config("dt=-0.1\n")
 
 
+@pytest.mark.parametrize("text", [
+    "dim=4\n",
+    "bc=foo\n",
+    "bc=dirichlet\ndim=2\n",
+    "length=0\n",
+    "mu=-1\n",
+    "bc=periodic\nmu=0.5\n",
+    "dt=0\n",
+    "t_end=0\n",
+    "n_seeds=0\n",
+    "jobs=0\n",
+])
+def test_parse_config_range_rules(text):
+    with pytest.raises(RangeError):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_default_config_is_fresh(name):
+    a = default_config(name)
+    want = a.as_dict()
+    a.rng_seed += 1
+    a.jobs += 1
+    b = default_config(name)
+    assert b is not a
+    assert b.as_dict() == want
+    assert b.scenario == name
+
+
 def test_run_suite_unknown_scenario(tmp_path):
     with pytest.raises(UsageError):
         run_suite("no-such-scenario", out_dir=str(tmp_path))
@@ -100,7 +130,7 @@ def test_report_wall_seconds(tmp_path):
 
 
 def test_write_csv_numpy_scalars_parse(tmp_path):
-    path = _write_csv(tmp_path / "x.csv", "a,b,c",
+    path = write_csv(tmp_path / "x.csv", "a,b,c",
                       [(np.float64(0.1), np.float64(1e-300), 3), (1.5, np.float64(-2.0), 4)])
     lines = Path(path).read_text().splitlines()
     assert lines == ["a,b,c", "0.1,1e-300,3", "1.5,-2.0,4"]
@@ -155,6 +185,42 @@ def test_cli_run_and_artifacts(tmp_path, capsys):
     assert (tmp_path / "run-final.csv").exists()
     header = (tmp_path / "run-series.csv").read_text().splitlines()[0]
     assert header == "t,l2,lyapunov"
+
+
+def test_cli_run_snapshot_fields_parse(tmp_path, capsys):
+    rc = cli.main(["--out", str(tmp_path), "run", "--dim", "1", "--bc", "dirichlet",
+                   "--length", str(math.pi / 2), "--grid", "64", "--band", "16",
+                   "--lambda", "9.5", "--t-end", "0.01", "--snapshot"])
+    assert rc == 0
+    lines = (tmp_path / "run-final.csv").read_text().splitlines()
+    assert lines[0] == "x,u"
+    assert len(lines) == 65
+    for line in lines[1:]:
+        assert [float(v) for v in line.split(",")]
+
+
+def test_cli_eig_bad_dim_is_config_error(capsys):
+    rc = cli.main(["eig", "--dim", "4", "--bc", "periodic", "--length", "6.3"])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_config_jobs_line(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def fake_find_all(domain, p, n_seeds, *, rng_seed, jobs):
+        seen.append(jobs)
+        return []
+
+    monkeypatch.setattr(cli, "find_all", fake_find_all)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("jobs=1\n")
+    args = ["steady", "--dim", "1", "--bc", "dirichlet", "--length", str(math.pi / 2),
+            "--grid", "64", "--band", "16", "--lambda", "9.5", "--nseeds", "4"]
+    assert cli.main(["--out", str(tmp_path), "--config", str(cfgfile)] + args) == 0
+    assert cli.main(["--out", str(tmp_path), "--config", str(cfgfile), "--jobs", "3"]
+                    + args) == 0
+    assert seen == [1, 3]
 
 
 def test_cli_steady_single(tmp_path, capsys):

@@ -250,3 +250,16 @@ def test_build_reduced_degenerate_length():
     d = Domain.make(1, L, "dirichlet", grid_n=64, band=16)
     with pytest.raises(ExplicitDegeneracy):
         build_reduced(d)
+
+
+def test_reduced_fixed_points_transcritical():
+    # lambda = 8.9, mu = 1 on the dirichlet box: trivial attractor, the
+    # small root of T y^2 - mu Q y - beta1 = 0 (a source) and the large one
+    fps = reduced_fixed_points(build_reduced(D_DIR), 8.9, mu=1.0)
+    phys = math.sqrt(2 / D_DIR.length[0])
+    (trivial, small, large) = sorted(fps, key=lambda f: float(f.y[0]))
+    assert trivial.y[0] == 0.0 and trivial.kind == "attractor"
+    assert small.kind == "source"
+    assert_allclose(phys * small.y[0], transcritical_amplitude(-0.1, 1.0), rtol=1e-12)
+    assert large.kind == "attractor"
+    assert_allclose(phys * large.y[0], 0.998, atol=5e-4)

@@ -1,5 +1,6 @@
 """Representation layer: transforms, products, inner products, export."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from shbif import oracles
 from shbif.errors import DomainMismatch
+from shbif.harness import write_csv_1d, write_pgm_2d
 from shbif.spectral import (
     Domain,
     GridField,
@@ -19,6 +21,7 @@ from shbif.spectral import (
     cube,
     grid_coords,
     inner,
+    max_translation_inner,
     multiply,
     random_field,
     square,
@@ -26,8 +29,6 @@ from shbif.spectral import (
     to_spectral,
     translate,
     triple,
-    write_csv_1d,
-    write_pgm_2d,
 )
 
 D_DIR = Domain.make(1, math.pi, "dirichlet", grid_n=64, band=16)
@@ -396,3 +397,15 @@ def test_snapshot_export(tmp_path, rng):
     assert head[1] == "16 16"
     vals = [int(v) for row in head[3:] for v in row.split()]
     assert min(vals) >= 0 and max(vals) <= 255
+
+
+@pytest.mark.parametrize("domain", [
+    Domain.make(1, 2 * math.pi, "periodic", grid_n=64, band=16),
+    Domain.make(2, 2 * math.pi, "periodic", grid_n=16, band=4),
+])
+def test_max_translation_inner_brute_force(domain, rng):
+    a = random_field(domain, rng, 1.0)
+    b = random_field(domain, rng, 1.0)
+    shifts = itertools.product(*(range(n) for n in domain.grid_n))
+    brute = max(inner(a, translate(b, s)) for s in shifts)
+    assert abs(max_translation_inner(a, b) - brute) <= 1e-12 * a.norm() * b.norm()

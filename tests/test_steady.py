@@ -179,7 +179,7 @@ def test_find_all_pitchfork_counts():
     nz = [s for s in states if s.norm > 1e-6]
     assert len(nz) == 2
     assert (nz[0].state + nz[1].state).norm() <= 1e-8
-    assert index_sum(nz, 1) == 2
+    assert index_sum(nz) == 2
     states_sym = find_all(D, P95, n_seeds=40, rng_seed=7, dedup="symmetry")
     assert len([s for s in states_sym if s.norm > 1e-6]) == 1
 
@@ -203,7 +203,7 @@ def test_find_all_2d_census_small_band():
     assert len(nz) == 4
     morses = sorted(s.morse_index for s in nz)
     assert morses == [0, 0, 1, 1]
-    assert index_sum(nz, 2) == 0
+    assert index_sum(nz) == 0
 
 
 def test_find_all_pool_matches_serial():
@@ -219,10 +219,10 @@ def test_find_all_pool_matches_serial():
 
 
 def test_index_sum_empty_and_degenerate():
-    assert index_sum([], 1) == 0
+    assert index_sum([]) == 0
     s = stability(newton(SpectralField.zeros(D), Params(9.0)))  # beta1 = 0 exactly
     with pytest.raises(DegenerateState):
-        index_sum([s], 1)
+        index_sum([s])
 
 
 def test_orbit_distance_translation():
@@ -291,3 +291,18 @@ def test_inner_solve_meets_newton_bound(case):
     delta = _solve_newton_system(jac, -f.data, eta)
     assert np.linalg.norm(jac.apply(delta) + f.data) <= 0.5 * f.norm()
     assert residual(u + SpectralField(d, delta), p).norm() < 0.1 * f.norm()
+
+
+@pytest.mark.parametrize("domain,p", [
+    (D, Params(9.3, 0.5)),
+    (Domain.make(1, 2 * math.pi, "periodic", grid_n=64, band=16), Params(0.2)),
+    (Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=32, band=8), Params(0.2)),
+])
+def test_jacobian_batched_rows_match_single_applies(domain, p, rng):
+    # stability's dense path applies J to every unit vector in one call
+    jac = _Jacobian(random_field(domain, rng, 0.5), p)
+    xs = np.stack([random_field(domain, rng, 1.0).data for _ in range(5)])
+    batched = jac.apply(xs)
+    for x, row in zip(xs, batched):
+        single = jac.apply(x)
+        assert np.linalg.norm(row - single) <= 1e-14 * np.linalg.norm(single)
