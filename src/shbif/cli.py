@@ -45,16 +45,16 @@ def _overlay(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.config:
         cfg = parse_config(Path(args.config).read_text(), base=cfg)
     for key in ("dim", "bc", "length", "grid_n", "band", "lam", "mu", "dt", "t_end",
-                "rng_seed", "jobs"):
+                "n_seeds", "rng_seed", "jobs", "out_dir"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    cfg.out_dir = args.out
     return cfg
 
 
-def _base_config(args) -> ExperimentConfig:
-    return _overlay(ExperimentConfig(jobs=os.cpu_count() or 1), args)
+def _base_config(args, **defaults) -> ExperimentConfig:
+    """The subcommand's defaults, overlaid by --config and the flags."""
+    return _overlay(ExperimentConfig(jobs=os.cpu_count() or 1, **defaults), args)
 
 
 def _seed_field(cfg: ExperimentConfig, args):
@@ -83,8 +83,11 @@ def _snapshot(field, out: Path, stem: str):
 def cmd_eig(args) -> int:
     cfg = _base_config(args)
     summ = principal(cfg.domain())
-    _json_out(summ.as_dict(lam=cfg.lam), Path(cfg.out_dir) / "eig.json"
-              if args.write else None)
+    path = None
+    if args.write:
+        path = Path(cfg.out_dir) / "eig.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+    _json_out(summ.as_dict(lam=cfg.lam), path)
     return 0
 
 
@@ -108,12 +111,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_steady(args) -> int:
-    cfg = _base_config(args)
+    cfg = _base_config(args, n_seeds=None)  # None: one Newton solve, no census
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     p = cfg.params()
-    if args.nseeds:
-        states = find_all(cfg.domain(), p, n_seeds=args.nseeds,
+    if cfg.n_seeds:
+        states = find_all(cfg.domain(), p, n_seeds=cfg.n_seeds,
                           rng_seed=cfg.rng_seed, jobs=cfg.jobs)
     else:
         states = [stability(newton(_seed_field(cfg, args), p))]
@@ -129,7 +132,7 @@ def cmd_steady(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _base_config(args)
+    cfg = _base_config(args, n_seeds=20)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     crit = principal(cfg.domain()).critical_modes[0]
@@ -137,7 +140,7 @@ def cmd_sweep(args) -> int:
     def rows():
         for lam in np.linspace(args.lambda_min, args.lambda_max, args.steps):
             states = find_all(cfg.domain(), Params(float(lam), cfg.mu),
-                              n_seeds=args.nseeds, rng_seed=cfg.rng_seed,
+                              n_seeds=cfg.n_seeds, rng_seed=cfg.rng_seed,
                               jobs=cfg.jobs)
             for i, s in enumerate(states):
                 yield lam, i, s.norm, s.state.coeff(crit), s.morse_index
@@ -194,7 +197,8 @@ def _add_param_flags(sp):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="shbif",
                                  description="Swift-Hohenberg bifurcation toolkit")
-    ap.add_argument("--out", default="out", help="output directory")
+    ap.add_argument("--out", dest="out_dir", default=None,
+                    help="output directory (default: out_dir from --config, else out)")
     ap.add_argument("--jobs", type=int, default=None, help="worker processes")
     ap.add_argument("--rng-seed", type=int, default=None)
     ap.add_argument("--config", default=None, help="key=value config file")
@@ -223,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from-mode", dest="seed_mode", default=None)
     sp.add_argument("--amp", dest="seed_amp", type=float, default=None)
     sp.add_argument("--from-file", dest="seed_file", default=None)
-    sp.add_argument("--nseeds", type=int, default=0)
+    sp.add_argument("--nseeds", dest="n_seeds", type=int, default=None,
+                    help="census seeds (default: n_seeds from --config, else one solve)")
     sp.set_defaults(func=cmd_steady)
 
     sp = sub.add_parser("sweep", help="bifurcation diagram over lambda")
@@ -232,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda-min", type=float, required=True)
     sp.add_argument("--lambda-max", type=float, required=True)
     sp.add_argument("--steps", type=int, default=11)
-    sp.add_argument("--nseeds", type=int, default=20)
+    sp.add_argument("--nseeds", dest="n_seeds", type=int, default=None,
+                    help="seeds per lambda (default: n_seeds from --config, else 20)")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("reduce", help="reduced tensors, fixed points, predictions")

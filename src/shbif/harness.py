@@ -95,7 +95,7 @@ class ExperimentConfig:
     t_end: float = 20.0
     scheme: str = "etdrk2"
     sample_every: int = 50
-    n_seeds: int = 100
+    n_seeds: int | None = 100  # None: `shbif steady` solves once, without a census
     rng_seed: int = 12345
     jobs: int = 1
     out_dir: str = "out"
@@ -159,7 +159,7 @@ def _validate(cfg: ExperimentConfig):
     """Each rule lives in the type that owns it; build those types."""
     check_params(cfg.domain(), cfg.params())
     cfg.stepper()
-    if cfg.n_seeds < 1:
+    if cfg.n_seeds is not None and cfg.n_seeds < 1:
         raise RangeError("n_seeds must be >= 1")
     if cfg.jobs < 1:
         raise RangeError("jobs must be >= 1")

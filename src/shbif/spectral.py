@@ -38,9 +38,14 @@ and so is every product the solvers project: u^3, u v w and u^2 v.  Their
 products are therefore evaluated on the rows j0 = 0..M0 // 2 of the product
 grid's first axis only.  This is exact, not an approximation: those rows are
 the full grid's rows, and once the other axes are transformed, row M0 - j0
-of a real point-odd field is -conj of row j0, which supplies the missing rows
-before the first-axis FFT.  Squares and other even products have no sine
-content there and are zero without any transform.
+of a real point-odd field is -conj of row j0.  So i times each first-axis
+column is Hermitian, and the first-axis transforms are real ones of length
+M0, even or odd (Cooley, Lewis & Welch 1970): synthesis runs ihfft on the
+real array of the sine coefficients' imaginary parts, which yields exactly
+the rows 0..M0 // 2, and analysis runs hfft on i times those rows, whose
+real output is minus the imaginary part of the spectrum.  No row is
+mirrored.  Squares and other even products have no sine content there and
+are zero without any transform.
 """
 
 from __future__ import annotations
@@ -347,10 +352,12 @@ def _spectrum_slots(domain: Domain, sizes: tuple[int, ...]):
     The half-spectrum is the rfftn array on the grid `sizes` cut to the
     band's last-axis columns 0..b.  A stored K sits at K if its last
     component is >= 0, else at -K with the conjugate coefficient.  Returns
-    (shape, dst, coef, plane, mirror): viewed as float pairs (re, im),
+    (shape, cell, dst, coef, plane, mirror): viewed as float pairs (re, im),
     spectrum[dst] = flat * coef with c_K = (z_K - i y_K) / cscale, and the
     complex cells `mirror` (the -K of last component 0) hold the conjugates
-    of the cells `plane`.
+    of the cells `plane`.  `cell` is the complex cell of each sine slot,
+    where an odd-periodic spectrum, purely imaginary, is handled as the real
+    array of its imaginary parts (flat * coef at cell, negated at mirror).
     """
     lat = _lattice(domain)
     k = lat.kvecs
@@ -366,7 +373,8 @@ def _spectrum_slots(domain: Domain, sizes: tuple[int, ...]):
         dst.append(2 * cell)
         coef.append(np.full(lat.nhalf, 1.0 / lat.cscale))
     on_plane = k[:, -1] == 0
-    out = (np.concatenate(dst), np.concatenate(coef), cell[on_plane], cells(-k[on_plane]))
+    out = (cell, np.concatenate(dst), np.concatenate(coef), cell[on_plane],
+           cells(-k[on_plane]))
     for a in out:
         a.flags.writeable = False
     return (shape, *out)
@@ -384,37 +392,39 @@ def _padded_spectrum(domain: Domain, shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape, dtype=complex)
 
 
-def _rows(s: slice, dim: int) -> tuple:
-    """Index taking the slice s of spatial axis 0 of a (..., *grid) array."""
-    return (Ellipsis, s) + (slice(None),) * (dim - 1)
-
-
 def _fourier_synthesis(x: np.ndarray, domain: Domain, sizes, half: bool = False) -> np.ndarray:
     """Grid values on `sizes` of the flat Fourier vectors x, shape (..., n).
 
     Leading axes of x are a batch and lead the result.  The non-last axes
     are transformed over the b + 1 columns that hold data only, and a cached
-    zero-tailed half-spectrum pads them for irfft.  With `half` (dim >= 2)
-    only the rows j0 = 0..M0 // 2 of axis 0 are returned: they alone go on
-    through the middle axes into the half-spectrum.
+    zero-tailed half-spectrum pads them for irfft.  With `half` (odd-periodic,
+    dim >= 2) only the rows j0 = 0..M0 // 2 of axis 0 are returned: the
+    spectrum is i times a real array, whose axis-0 inverse transform is
+    Hermitian, so a real ihfft yields exactly those rows, and only they go
+    on through the middle axes into the half-spectrum.
     """
-    shape, dst, coef, plane, mirror = _spectrum_slots(domain, sizes)
+    shape, cell, dst, coef, plane, mirror = _spectrum_slots(domain, sizes)
     dim = domain.dim
     lead = x.shape[:-1]
-    spec = np.zeros((*lead, 2 * math.prod(shape)))
-    spec[..., dst] = x * coef
-    spec = spec.view(complex)
-    spec[..., mirror] = spec[..., plane].conj()
-    spec = spec.reshape(*lead, *shape)
-    if not half:
-        spec = sfft.ifftn(spec, axes=range(-dim, -1), norm="forward", overwrite_x=True)
-    else:
-        spec = sfft.ifft(spec, axis=-dim, norm="forward", overwrite_x=True)
-        spec = spec[_rows(slice(sizes[0] // 2 + 1), dim)]
+    if half:
+        imag = np.zeros((*lead, math.prod(shape)))
+        imag[..., cell] = x * coef
+        imag[..., mirror] = -imag[..., plane]
+        spec = sfft.ihfft(imag.reshape(*lead, *shape), n=sizes[0], axis=-dim,
+                          norm="forward")
         if dim == 3:
             spec = sfft.ifft(spec, axis=-2, norm="forward", overwrite_x=True)
-    padded = _padded_spectrum(domain, (*spec.shape[:-1], sizes[-1] // 2 + 1))
-    padded[..., : shape[-1]] = spec
+        padded = _padded_spectrum(domain, (*spec.shape[:-1], sizes[-1] // 2 + 1))
+        np.multiply(spec, 1j, out=padded[..., : shape[-1]])
+    else:
+        spec = np.zeros((*lead, 2 * math.prod(shape)))
+        spec[..., dst] = x * coef
+        spec = spec.view(complex)
+        spec[..., mirror] = spec[..., plane].conj()
+        spec = sfft.ifftn(spec.reshape(*lead, *shape), axes=range(-dim, -1),
+                          norm="forward", overwrite_x=True)
+        padded = _padded_spectrum(domain, (*spec.shape[:-1], sizes[-1] // 2 + 1))
+        padded[..., : shape[-1]] = spec
     return sfft.irfft(padded, n=sizes[-1], norm="forward")
 
 
@@ -423,25 +433,24 @@ def _fourier_analysis(values: np.ndarray, domain: Domain, sizes) -> np.ndarray:
 
     Leading axes of `values` beyond the grid's are a batch.  `values` may
     hold only the rows j0 = 0..M0 // 2 of axis 0 of a field odd under point
-    reflection; after the other axes are transformed, the missing rows
-    follow from the mirror H[M0 - j0] = -conj(H[j0]).
+    reflection.  Once the other axes are transformed, i times those rows is
+    the first half of a column that is Hermitian along axis 0, so a real
+    hfft of length M0 completes it: its output is minus the imaginary part
+    of the spectrum, which holds the sine coefficients.
     """
-    shape, dst, coef, _, _ = _spectrum_slots(domain, sizes)
+    shape, cell, dst, coef, _, _ = _spectrum_slots(domain, sizes)
     dim = domain.dim
     spec = sfft.rfft(values, norm="forward")[..., : shape[-1]]
-    rows = values.shape[-dim]
-    if rows == sizes[0]:
+    if values.shape[-dim] == sizes[0]:
         spec = sfft.fftn(spec, axes=range(-dim, -1), norm="forward", overwrite_x=True)
-    else:
-        if dim == 3:
-            spec = sfft.fft(spec, axis=-2, norm="forward", overwrite_x=True)
-        full = np.empty((*spec.shape[:-dim], *shape), dtype=complex)
-        full[_rows(slice(rows), dim)] = spec
-        mirrored = spec[_rows(slice(sizes[0] - rows, 0, -1), dim)]
-        full[_rows(slice(rows, None), dim)] = -mirrored.conj()
-        spec = sfft.fft(full, axis=-dim, norm="forward", overwrite_x=True)
-    lead = spec.shape[:-dim]
-    return np.ascontiguousarray(spec).view(float).reshape(*lead, -1)[..., dst] / coef
+        lead = spec.shape[:-dim]
+        return np.ascontiguousarray(spec).view(float).reshape(*lead, -1)[..., dst] / coef
+    if dim == 3:
+        spec = sfft.fft(spec, axis=-2, norm="forward", overwrite_x=True)
+    spec *= 1j
+    minus_imag = sfft.hfft(spec, n=sizes[0], axis=-dim, norm="forward")
+    lead = minus_imag.shape[:-dim]
+    return minus_imag.reshape(*lead, -1)[..., cell] / -coef
 
 
 def to_grid(f: SpectralField) -> GridField:

@@ -7,15 +7,19 @@ by Newton iteration with matrix-free inner solves.  The Jacobian
 
 is self-adjoint but indefinite (its high modes are strongly negative, and
 saddles add positive directions), so the inner solver is MINRES with the
-diagonal preconditioner 1/(|beta_k| + 1).  Stability uses dense symmetric
+diagonal preconditioner 1/(|beta_k| + 1).  Stability takes the growth
+rates beta themselves when Weyl's inequality bounds the nonlinear part below
+WEYL_TOL (the trivial state), and otherwise uses dense symmetric
 eigendecomposition for small systems and a preconditioned block iteration
-(LOBPCG, ARPACK fallback) otherwise.
+(LOBPCG, ARPACK fallback) for larger ones.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import multiprocessing
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,7 +43,6 @@ from .spectral import (
     inner,
     max_translation_inner,
     random_field,
-    square,
 )
 
 NEWTON_TOL = 1e-11
@@ -48,6 +51,7 @@ NEUTRAL_TOL = 1e-6
 DEDUP_TOL = 1e-6
 KRYLOV_MAXITER = 500  # MINRES iterations per Newton step, at least 2n
 DENSE_LIMIT = 400  # stability() takes dense eigenvalues up to this size
+WEYL_TOL = 1e-12  # stability() takes beta as the spectrum below this bound on |J - diag(beta)|
 
 
 @dataclass
@@ -80,25 +84,37 @@ class SteadyState:
         return out
 
 
+def _residual(u: SpectralField, p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """Residual coefficients and the product-grid values of u they used."""
+    check_params(u.domain, p)
+    synthesize, odd, even = _product_maps(u.domain)
+    gu = synthesize(u.data)
+    data = growth_array(u.domain, p.lam) * u.data - odd(gu * gu * gu)
+    if p.mu != 0.0:
+        data = data + p.mu * even(gu * gu)
+    return data, gu
+
+
 def residual(u: SpectralField, p: Params) -> SpectralField:
     """-(I+Laplace)^2 u + lambda u + mu u^2 - u^3 as a spectral field."""
-    check_params(u.domain, p)
-    data = growth_array(u.domain, p.lam) * u.data - cube(u).data
-    if p.mu != 0.0:
-        data = data + p.mu * square(u).data
-    return SpectralField(u.domain, data)
+    return SpectralField(u.domain, _residual(u, p)[0])
 
 
 class _Jacobian:
-    """Matrix-free J(u) with the grid of u cached across applies."""
+    """Matrix-free J(u) with the grid of u cached across applies.
 
-    def __init__(self, u: SpectralField, p: Params):
+    gu, when given, is u's product-grid values as _residual returned them;
+    otherwise u is synthesised here.
+    """
+
+    def __init__(self, u: SpectralField, p: Params, gu: np.ndarray | None = None):
         self.domain = u.domain
         self.n = len(u.data)
         self.p = p
         self.beta = growth_array(u.domain, p.lam)
         self.synthesize, self.odd, self.even = _product_maps(u.domain)
-        gu = self.synthesize(u.data)
+        if gu is None:
+            gu = self.synthesize(u.data)
         self.w_odd = -3.0 * gu * gu
         self.w_even = 2.0 * p.mu * gu if p.mu != 0.0 else None
 
@@ -122,7 +138,7 @@ def jacobian_apply(u: SpectralField, p: Params, v: SpectralField) -> SpectralFie
 
 
 def _solve_newton_system(jac: _Jacobian, rhs: np.ndarray, rtol: float) -> np.ndarray:
-    minv = 1.0 / (np.abs(growth_array(jac.domain, jac.p.lam)) + 1.0)
+    minv = 1.0 / (np.abs(jac.beta) + 1.0)
     a = jac.as_linear_operator()
     n = a.shape[0]
     m = spla.LinearOperator((n, n), matvec=lambda v: minv * v, dtype=float)
@@ -136,19 +152,18 @@ def _solve_newton_system(jac: _Jacobian, rhs: np.ndarray, rtol: float) -> np.nda
 def newton(u0: SpectralField, p: Params, *, tol: float = NEWTON_TOL,
            max_iter: int = 50) -> SteadyState:
     """Newton iteration from u0; raises NoConvergence / SingularJacobian."""
-    check_params(u0.domain, p)
     u = u0
-    f = residual(u, p)
-    nf = f.norm()
+    f, gu = _residual(u, p)
+    nf = float(np.linalg.norm(f))
     for _ in range(max_iter):
         if nf <= tol:
             return SteadyState(u, nf, p.lam, p.mu)
         if not np.isfinite(nf) or nf > 1e8:
             raise NoConvergence(f"residual diverged ({nf:.3g})")
-        jac = _Jacobian(u, p)
+        jac = _Jacobian(u, p, gu)
         eta = min(0.1, max(1e-4, nf))
         try:
-            delta = _solve_newton_system(jac, -f.data, eta)
+            delta = _solve_newton_system(jac, -f, eta)
         except SingularJacobian:
             # iterates collapsing onto the trivial branch hit a genuinely
             # singular Jacobian (double root at the bifurcation point); the
@@ -160,8 +175,8 @@ def newton(u0: SpectralField, p: Params, *, tol: float = NEWTON_TOL,
         s = 1.0
         for _ in range(11):
             u_try = u + s * dv
-            f_try = residual(u_try, p)
-            nf_try = f_try.norm()
+            f_try, gu_try = _residual(u_try, p)
+            nf_try = float(np.linalg.norm(f_try))
             if nf_try < nf:
                 break
             s *= 0.5
@@ -169,7 +184,7 @@ def newton(u0: SpectralField, p: Params, *, tol: float = NEWTON_TOL,
             if u.norm() < 1e-3:
                 return SteadyState(SpectralField.zeros(u.domain), 0.0, p.lam, p.mu)
             raise NoConvergence("line search could not reduce the residual")
-        u, f, nf = u_try, f_try, nf_try
+        u, f, gu, nf = u_try, f_try, gu_try, nf_try
     if nf <= tol:
         return SteadyState(u, nf, p.lam, p.mu)
     raise NoConvergence(f"no convergence after {max_iter} Newton steps (|F|={nf:.3g})")
@@ -184,12 +199,10 @@ def _leading_eigs_lobpcg(jac: _Jacobian, k: int) -> np.ndarray:
 
     Plain Lanczos stalls on the huge spectral spread of (I+Laplace)^2, so
     the block iteration is preconditioned with 1/(|beta|+1) and seeded on
-    the least-damped modes; ARPACK is kept as a fallback.
+    the least-damped modes; ARPACK is kept as a fallback, with a warning.
     """
-    import warnings
-
     n = jac.n
-    beta = growth_array(jac.domain, jac.p.lam)
+    beta = jac.beta
     idx = np.argsort(-beta)[:k]
     x0 = np.zeros((n, k))
     rng = np.random.default_rng(0)
@@ -208,6 +221,8 @@ def _leading_eigs_lobpcg(jac: _Jacobian, k: int) -> np.ndarray:
             return np.asarray(evals)
     except (np.linalg.LinAlgError, ValueError):
         pass
+    warnings.warn(f"stability: LOBPCG failed for the leading {k} eigenvalues; "
+                  "falling back to ARPACK", RuntimeWarning, stacklevel=3)
     try:
         return spla.eigsh(jac.as_linear_operator(), k=k, which="LA",
                           return_eigenvectors=False, maxiter=400 * k)
@@ -215,27 +230,51 @@ def _leading_eigs_lobpcg(jac: _Jacobian, k: int) -> np.ndarray:
         raise EigsNoConvergence(str(err)) from err
 
 
+def _weyl_bound(u: SpectralField, mu: float) -> float:
+    """Bound on the operator norm of J(u) - diag(beta) from u's coefficients.
+
+    That difference projects multiplication by 2 mu u - 3 u^2, so its norm
+    is at most 3 s^2 + 2 |mu| s with s = sup |u|.  Every basis function is
+    bounded by sqrt(2 / V), so s <= sqrt(2 n / V) |u| by Cauchy-Schwarz.
+    """
+    sup = math.sqrt(2.0 * len(u.data) / u.domain.volume) * u.norm()
+    return 3.0 * sup * sup + 2.0 * abs(mu) * sup
+
+
 def stability(s: SteadyState, *, n_eigs: int = 10) -> SteadyState:
     """Fill leading Jacobian eigenvalues and the Morse index.
 
     For periodic domains, eigenvalues with |e| < 1e-6 are reported as neutral
-    translation modes and excluded from the Morse index.
+    translation modes and excluded from the Morse index.  When _weyl_bound
+    puts |J(u) - diag(beta)| below WEYL_TOL, as at the trivial state, Weyl's
+    inequality places each eigenvalue within that bound of the sorted beta,
+    which are taken as the eigenvalues with no eigensolver run.  Otherwise
+    small systems are diagonalised densely; larger ones run LOBPCG on k
+    leading eigenvalues, doubling k until one lies below -1e-6 or k is at
+    least 64, and warn when that cap stops them: the Morse index may be
+    truncated.
     """
-    p = Params(s.lam, s.mu)
-    jac = _Jacobian(s.state, p)
-    n = jac.n
     periodic = s.state.domain.bc is BoundaryCondition.PERIODIC
-    if n <= DENSE_LIMIT:
-        mat = jac.apply(np.eye(n))  # row i is J e_i: the transpose of J
-        evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    if _weyl_bound(s.state, s.mu) < WEYL_TOL:
+        evals = np.sort(growth_array(s.state.domain, s.lam))
     else:
-        k = min(max(n_eigs, 8), n - 2)
-        while True:
-            evals = _leading_eigs_lobpcg(jac, k)
-            evals = np.sort(evals)
-            if evals[0] < -NEUTRAL_TOL or k >= min(64, n - 2):
-                break
-            k = min(2 * k, n - 2)
+        jac = _Jacobian(s.state, Params(s.lam, s.mu))
+        n = jac.n
+        if n <= DENSE_LIMIT:
+            mat = jac.apply(np.eye(n))  # row i is J e_i: the transpose of J
+            evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+        else:
+            k = min(max(n_eigs, 8), n - 2)
+            while True:
+                evals = np.sort(_leading_eigs_lobpcg(jac, k))
+                if evals[0] < -NEUTRAL_TOL:
+                    break
+                if k >= min(64, n - 2):
+                    warnings.warn(f"stability: all {k} leading eigenvalues lie above "
+                                  f"{-NEUTRAL_TOL:g}; the Morse index may be truncated",
+                                  RuntimeWarning, stacklevel=2)
+                    break
+                k = min(2 * k, n - 2)
     neutral = tuple(float(e) for e in evals if periodic and abs(e) < NEUTRAL_TOL)
     effective = [float(e) for e in evals if not (periodic and abs(e) < NEUTRAL_TOL)]
     morse = sum(1 for e in effective if e > POS_TOL)

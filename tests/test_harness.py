@@ -223,6 +223,58 @@ def test_cli_config_jobs_line(tmp_path, monkeypatch, capsys):
     assert seen == [1, 3]
 
 
+def test_cli_out_dir_from_config_unless_out_given(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ["eig", "--dim", "1", "--bc", "dirichlet", "--length", str(math.pi / 2),
+            "--grid", "64", "--band", "16", "--write"]
+    assert cli.main(args) == 0
+    assert (tmp_path / "out" / "eig.json").exists()
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"out_dir={tmp_path / 'from-config'}\n")
+    assert cli.main(["--config", str(cfgfile)] + args) == 0
+    assert (tmp_path / "from-config" / "eig.json").exists()
+    assert cli.main(["--config", str(cfgfile), "--out", str(tmp_path / "from-flag")]
+                    + args) == 0
+    assert (tmp_path / "from-flag" / "eig.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.cfg", "from-config", "from-flag", "out"]
+
+
+@pytest.mark.parametrize("command, config, flag, want", [
+    ("steady", "", [], None),
+    ("steady", "n_seeds=3\n", [], 3),
+    ("steady", "n_seeds=3\n", ["--nseeds", "5"], 5),
+    ("steady", "", ["--nseeds", "5"], 5),
+    ("sweep", "", [], 20),
+    ("sweep", "n_seeds=3\n", [], 3),
+    ("sweep", "n_seeds=3\n", ["--nseeds", "5"], 5),
+])
+def test_cli_seed_count_from_config_unless_flag(tmp_path, monkeypatch, capsys,
+                                                command, config, flag, want):
+    seen = []
+
+    def fake_find_all(domain, p, n_seeds, *, rng_seed, jobs):
+        seen.append(n_seeds)
+        return []
+
+    monkeypatch.setattr(cli, "find_all", fake_find_all)
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(config)
+    box = ["--dim", "1", "--bc", "dirichlet", "--length", str(math.pi / 2),
+           "--grid", "64", "--band", "16"]
+    if command == "steady":
+        args = ["steady", *box, "--lambda", "9.5", "--from-mode", "1", "--amp", "0.8"]
+    else:
+        args = ["sweep", *box, "--lambda-min", "9.5", "--lambda-max", "9.5", "--steps", "1"]
+    rc = cli.main(["--out", str(tmp_path), "--config", str(cfgfile), *args, *flag])
+    assert rc == 0
+    if want is None:  # no census: one Newton solve from the seed mode
+        assert seen == []
+        assert len(json.loads(capsys.readouterr().out)["states"]) == 1
+    else:
+        assert seen == [want]
+
+
 def test_cli_steady_single(tmp_path, capsys):
     rc = cli.main(["--out", str(tmp_path), "steady", "--dim", "1", "--bc",
                    "dirichlet", "--length", str(math.pi / 2), "--grid", "64",

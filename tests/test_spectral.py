@@ -10,8 +10,10 @@ from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from shbif import oracles
+from shbif.dynamics import Params
 from shbif.errors import DomainMismatch
 from shbif.harness import write_csv_1d, write_pgm_2d
+from shbif.linear_analysis import growth_array
 from shbif.spectral import (
     Domain,
     GridField,
@@ -30,6 +32,7 @@ from shbif.spectral import (
     translate,
     triple,
 )
+from shbif.steady import jacobian_apply
 
 D_DIR = Domain.make(1, math.pi, "dirichlet", grid_n=64, band=16)
 D_DIR_HALF = Domain.make(1, math.pi / 2, "dirichlet", grid_n=64, band=16)
@@ -409,3 +412,34 @@ def test_max_translation_inner_brute_force(domain, rng):
     shifts = itertools.product(*(range(n) for n in domain.grid_n))
     brute = max(inner(a, translate(b, s)) for s in shifts)
     assert abs(max_translation_inner(a, b) - brute) <= 1e-12 * a.norm() * b.norm()
+
+
+# collocation grids with grid_n >= 4b + 1 on every axis, so products taken
+# there are exact on the band; the product grids' first axes are 9, 9 and 45
+FULL_GRID_REFERENCE_DOMAINS = [
+    Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=(16, 32), band=(2, 7)),
+    Domain.make(3, (2 * math.pi, 3.0, 5.0), "odd-periodic", grid_n=(16, 8, 16), band=(2, 1, 3)),
+    Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=64, band=11),
+]
+
+
+@pytest.mark.parametrize("domain", FULL_GRID_REFERENCE_DOMAINS, ids=_domain_id)
+def test_point_odd_products_match_full_grid_reference(domain, rng):
+    # products on the parity half of the product grid, with real first-axis
+    # transforms, against to_spectral of the pointwise product on the whole
+    # collocation grid, which shares none of that code path
+    u, v, w = (random_field(domain, rng, 1.0) for _ in range(3))
+    gu, gv, gw = (to_grid(f).values for f in (u, v, w))
+
+    def reference(values):
+        return to_spectral(GridField(domain, values)).data
+
+    p = Params(0.2)
+    pairs = [
+        (cube(u).data, reference(gu**3)),
+        (triple(u, v, w).data, reference(gu * gv * gw)),
+        (jacobian_apply(u, p, v).data,
+         growth_array(domain, p.lam) * v.data - 3.0 * reference(gu * gu * gv)),
+    ]
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from shbif import steady
 from shbif.dynamics import Params
 from shbif.errors import DegenerateState, NoConvergence
 from shbif.linear_analysis import eigenfunction, growth_array, growth_rate
@@ -19,9 +20,12 @@ from shbif.spectral import (
     triple,
 )
 from shbif.steady import (
+    WEYL_TOL,
     SteadyState,
     _Jacobian,
+    _residual,
     _solve_newton_system,
+    _weyl_bound,
     continue_branch,
     find_all,
     index_sum,
@@ -306,3 +310,82 @@ def test_jacobian_batched_rows_match_single_applies(domain, p, rng):
     for x, row in zip(xs, batched):
         single = jac.apply(x)
         assert np.linalg.norm(row - single) <= 1e-14 * np.linalg.norm(single)
+
+
+@pytest.mark.parametrize("domain,p", [
+    (D, Params(9.3, 0.5)),
+    (Domain.make(1, 2 * math.pi, "periodic", grid_n=64, band=16), Params(0.2)),
+    (Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=32, band=8), Params(0.2)),
+])
+def test_jacobian_from_residual_grid_is_bit_identical(domain, p, rng):
+    # newton builds J(u) from the grid values its residual already computed
+    u = random_field(domain, rng, 0.5)
+    data, gu = _residual(u, p)
+    assert np.array_equal(data, residual(u, p).data)
+    xs = np.stack([random_field(domain, rng, 1.0).data for _ in range(3)])
+    assert np.array_equal(_Jacobian(u, p, gu).apply(xs), _Jacobian(u, p).apply(xs))
+
+
+D2_BAND16 = Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=64, band=16)  # n = 544
+
+
+def _scaled_state(norm, rng):
+    u = random_field(D2_BAND16, rng, 1.0, unit_norm=True) * norm
+    return SteadyState(u, 0.0, 0.2, 0.0)
+
+
+def _count_lobpcg_calls(monkeypatch):
+    calls = []
+    real = steady._leading_eigs_lobpcg
+
+    def counted(jac, k):
+        calls.append(k)
+        return real(jac, k)
+
+    monkeypatch.setattr(steady, "_leading_eigs_lobpcg", counted)
+    return calls
+
+
+def test_stability_weyl_shortcut_matches_lobpcg(rng, monkeypatch):
+    calls = _count_lobpcg_calls(monkeypatch)
+    s = _scaled_state(1e-17, rng)
+    assert 0.0 < _weyl_bound(s.state, s.mu) < WEYL_TOL
+    short = stability(s)
+    assert calls == []  # beta is taken as the spectrum, no eigensolver runs
+    monkeypatch.setattr(steady, "WEYL_TOL", 0.0)
+    iterated = stability(s)
+    assert calls  # the same state through LOBPCG
+    assert short.morse_index == iterated.morse_index == 2
+    assert_allclose(short.leading_eigs, iterated.leading_eigs, rtol=0, atol=1e-7)
+
+
+def test_stability_small_nonzero_state_still_iterates(rng, monkeypatch):
+    calls = _count_lobpcg_calls(monkeypatch)
+    s = _scaled_state(1e-3, rng)
+    assert _weyl_bound(s.state, s.mu) >= WEYL_TOL
+    assert stability(s).morse_index == 2
+    assert calls
+
+
+def test_stability_warns_at_the_window_cap(rng, monkeypatch):
+    # a spectrum whose leading eigenvalues are all positive never ends the
+    # k-doubling loop on a negative one; the cap stops it
+    monkeypatch.setattr(steady, "_leading_eigs_lobpcg",
+                        lambda jac, k: np.linspace(1.0, 2.0, k))
+    with pytest.warns(RuntimeWarning, match="Morse index may be truncated"):
+        s = stability(_scaled_state(1e-3, rng))
+    assert s.morse_index >= 64
+
+
+def test_stability_warns_on_arpack_fallback(rng, monkeypatch):
+    s = _scaled_state(1e-3, rng)
+    want = stability(s)
+
+    def failing_lobpcg(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced failure")
+
+    monkeypatch.setattr(steady.spla, "lobpcg", failing_lobpcg)
+    with pytest.warns(RuntimeWarning, match="falling back to ARPACK"):
+        got = stability(s)
+    assert got.morse_index == want.morse_index
+    assert_allclose(got.leading_eigs, want.leading_eigs, rtol=0, atol=1e-6)
