@@ -136,16 +136,6 @@ def square_quadrature_oracle(f: SpectralField, n: int) -> float:
     return val
 
 
-def inner_quadrature_oracle(f: SpectralField, g: SpectralField) -> float:
-    """<f, g> on a 1-d domain by adaptive quadrature."""
-    uf = field_callable(f)
-    ug = field_callable(g)
-    L = f.domain.length[0]
-    val, _err = sintegrate.quad(lambda x: uf(x) * ug(x), 0.0, L,
-                                limit=400, epsabs=1e-13, epsrel=1e-13)
-    return val
-
-
 def compare_coeffs(field: SpectralField, oracle: dict) -> float:
     """Max absolute coefficient difference between a field and an oracle map."""
     keys = set(oracle)

@@ -18,7 +18,7 @@ coefficient c_K = (z_K - i y_K) / sqrt(2V) at K and its conjugate at -K,
 and gather it back from there; the real part of a transformed real field
 and its parity need no separate symmetrisation.  This layout is decoded
 here only: other modules reach it through SpectralField, the product maps,
-translate and max_translation_inner.
+resample, translate and max_translation_inner.
 
 Nonlinear products are evaluated pointwise on a product grid sized from the
 band alone and projected back onto the retained band; they are exact there.
@@ -51,7 +51,7 @@ are zero without any transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
 
@@ -230,6 +230,46 @@ def _lattice(domain: Domain) -> _Lattice:
 def lattice_symbol(domain: Domain) -> np.ndarray:
     """(1-|kappa|^2)^2 over the flat coefficient vector (read-only)."""
     return _lattice(domain).symbol
+
+
+def coarse_domain(domain: Domain) -> Domain | None:
+    """The same box and grid_n with band ceil(b / 4), at least 8, per axis.
+
+    Returns None when no axis changes.  Product maps depend on the band
+    alone, so products on the coarse domain cost what its band costs.
+    """
+    band = tuple(min(b, max(8, -(-b // 4))) for b in domain.band)
+    return None if band == domain.band else replace(domain, band=band)
+
+
+@lru_cache(maxsize=None)
+def _shared_slots(src: Domain, dst: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions (in src, in dst) of the modes both bands retain."""
+    a, b = _lattice(src), _lattice(dst)
+    pairs = [(i, b.mode_pos[k]) for i, k in enumerate(map(tuple, a.kvecs.tolist()))
+             if k in b.mode_pos]
+    i, j = np.array(pairs).T
+    kinds = range(len(a.kinds))  # periodic cosines sit nhalf after their sines
+    out = (np.concatenate([i + w * a.nhalf for w in kinds]),
+           np.concatenate([j + w * b.nhalf for w in kinds]))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def resample(x: np.ndarray, src: Domain, dst: Domain) -> np.ndarray:
+    """Coefficients x of shape (..., n) on src, moved to dst's band.
+
+    The domains may differ in band only.  Modes both bands retain are
+    copied and the others are zero, so restriction followed by prolongation
+    keeps exactly the shared modes, and prolongation is an isometry.
+    """
+    if replace(src, band=dst.band) != dst:
+        raise DomainMismatch("resample: domains must differ in band only")
+    i, j = _shared_slots(src, dst)
+    out = np.zeros((*x.shape[:-1], _lattice(dst).nflat))
+    out[..., j] = x[..., i]
+    return out
 
 
 @dataclass(eq=False)

@@ -12,6 +12,15 @@ rates beta themselves when Weyl's inequality bounds the nonlinear part below
 WEYL_TOL (the trivial state), and otherwise uses dense symmetric
 eigendecomposition for small systems and a preconditioned block iteration
 (LOBPCG, ARPACK fallback) for larger ones.
+
+Census solves and LOBPCG use nested iteration (grid sequencing; Kelley,
+Solving Nonlinear Equations with Newton's Method, 2003, sec. 1.9): the
+problem is solved first on spectral.coarse_domain, band ceil(b / 4) and at
+least 8 per axis, and the zero-padded result starts the solve on the full
+band.  Bifurcated states decay fast in |K|, so that start is usually
+already converged.  Only the full band decides: a state is accepted when
+its full-band residual meets NEWTON_TOL, and every reported eigenvalue
+comes from a full-band LOBPCG, dense or Weyl evaluation.
 """
 
 from __future__ import annotations
@@ -39,10 +48,12 @@ from .spectral import (
     Domain,
     SpectralField,
     _product_maps,
+    coarse_domain,
     cube,
     inner,
     max_translation_inner,
     random_field,
+    resample,
 )
 
 NEWTON_TOL = 1e-11
@@ -108,6 +119,7 @@ class _Jacobian:
     """
 
     def __init__(self, u: SpectralField, p: Params, gu: np.ndarray | None = None):
+        self.u = u
         self.domain = u.domain
         self.n = len(u.data)
         self.p = p
@@ -194,38 +206,61 @@ def newton(u0: SpectralField, p: Params, *, tol: float = NEWTON_TOL,
 # stability
 # ---------------------------------------------------------------------------
 
-def _leading_eigs_lobpcg(jac: _Jacobian, k: int) -> np.ndarray:
-    """Largest algebraic Jacobian eigenvalues, matrix-free.
+def _lobpcg_start(jac: _Jacobian, k: int) -> np.ndarray:
+    """Initial LOBPCG block of k columns for jac.
+
+    The coarse Jacobian's leading Ritz vectors, zero-padded to the full
+    band (Knyazev, SISC 23, 2001), when coarse_domain gives a problem that
+    LOBPCG iterates on (scipy's size rule, n >= 5 k) and that iteration
+    succeeds.  Otherwise unit vectors on the least-damped modes plus a
+    little fixed noise.
+    """
+    coarse = coarse_domain(jac.domain)
+    if coarse is not None:
+        u = SpectralField(coarse, resample(jac.u.data, jac.domain, coarse))
+        pairs = _lobpcg(_Jacobian(u, jac.p), k) if len(u.data) >= 5 * k else None
+        if pairs is not None:
+            return resample(pairs[1].T, coarse, jac.domain).T
+    x0 = np.zeros((jac.n, k))
+    x0[np.argsort(-jac.beta)[:k], np.arange(k)] = 1.0
+    return x0 + 1e-3 * np.random.default_rng(0).standard_normal(x0.shape)
+
+
+def _lobpcg(jac: _Jacobian, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """LOBPCG's k leading eigenpairs of jac, or None when it fails.
 
     Plain Lanczos stalls on the huge spectral spread of (I+Laplace)^2, so
-    the block iteration is preconditioned with 1/(|beta|+1) and seeded on
-    the least-damped modes; ARPACK is kept as a fallback, with a warning.
+    the block iteration is preconditioned with 1/(|beta|+1) and started
+    from _lobpcg_start.
     """
     n = jac.n
-    beta = jac.beta
-    idx = np.argsort(-beta)[:k]
-    x0 = np.zeros((n, k))
-    rng = np.random.default_rng(0)
-    for j, i in enumerate(idx):
-        x0[i, j] = 1.0
-    x0 += 1e-3 * rng.standard_normal(x0.shape)
-    minv = 1.0 / (np.abs(beta) + 1.0)
+    minv = 1.0 / (np.abs(jac.beta) + 1.0)
     m_op = spla.LinearOperator(
         (n, n), matvec=lambda v: (minv * v.reshape(-1)).reshape(v.shape), dtype=float)
+    x0 = _lobpcg_start(jac, k)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            evals, _ = spla.lobpcg(jac.as_linear_operator(), x0, M=m_op,
-                                   largest=True, tol=1e-7, maxiter=100)
-        if np.all(np.isfinite(evals)):
-            return np.asarray(evals)
+            evals, vecs = spla.lobpcg(jac.as_linear_operator(), x0, M=m_op,
+                                      largest=True, tol=1e-7, maxiter=100)
     except (np.linalg.LinAlgError, ValueError):
-        pass
+        return None
+    return (np.asarray(evals), vecs) if np.all(np.isfinite(evals)) else None
+
+
+def _leading_eigs_lobpcg(jac: _Jacobian, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest algebraic Jacobian eigenvalues and their eigenvectors, matrix-free.
+
+    Returns (evals, vecs) with vecs of shape (n, k), from _lobpcg, or from
+    ARPACK with a warning when LOBPCG fails.
+    """
+    pairs = _lobpcg(jac, k)
+    if pairs is not None:
+        return pairs
     warnings.warn(f"stability: LOBPCG failed for the leading {k} eigenvalues; "
                   "falling back to ARPACK", RuntimeWarning, stacklevel=3)
     try:
-        return spla.eigsh(jac.as_linear_operator(), k=k, which="LA",
-                          return_eigenvectors=False, maxiter=400 * k)
+        return spla.eigsh(jac.as_linear_operator(), k=k, which="LA", maxiter=400 * k)
     except spla.ArpackNoConvergence as err:
         raise EigsNoConvergence(str(err)) from err
 
@@ -250,9 +285,11 @@ def stability(s: SteadyState, *, n_eigs: int = 10) -> SteadyState:
     inequality places each eigenvalue within that bound of the sorted beta,
     which are taken as the eigenvalues with no eigensolver run.  Otherwise
     small systems are diagonalised densely; larger ones run LOBPCG on k
-    leading eigenvalues, doubling k until one lies below -1e-6 or k is at
-    least 64, and warn when that cap stops them: the Morse index may be
-    truncated.
+    leading eigenvalues, doubling k up to a cap of 64 (and n - 2) until one
+    lies below -1e-6, and warn when the cap stops them: the Morse index may
+    be truncated.  LOBPCG starts from the leading Ritz vectors of the
+    Jacobian on coarse_domain and still runs to its tolerance on the full
+    band, so the eigenvalues are full-band ones.
     """
     periodic = s.state.domain.bc is BoundaryCondition.PERIODIC
     if _weyl_bound(s.state, s.mu) < WEYL_TOL:
@@ -264,17 +301,18 @@ def stability(s: SteadyState, *, n_eigs: int = 10) -> SteadyState:
             mat = jac.apply(np.eye(n))  # row i is J e_i: the transpose of J
             evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
         else:
-            k = min(max(n_eigs, 8), n - 2)
+            cap = min(64, n - 2)
+            k = min(max(n_eigs, 8), cap)
             while True:
-                evals = np.sort(_leading_eigs_lobpcg(jac, k))
+                evals = np.sort(_leading_eigs_lobpcg(jac, k)[0])
                 if evals[0] < -NEUTRAL_TOL:
                     break
-                if k >= min(64, n - 2):
+                if k >= cap:
                     warnings.warn(f"stability: all {k} leading eigenvalues lie above "
                                   f"{-NEUTRAL_TOL:g}; the Morse index may be truncated",
                                   RuntimeWarning, stacklevel=2)
                     break
-                k = min(2 * k, n - 2)
+                k = min(2 * k, cap)
     neutral = tuple(float(e) for e in evals if periodic and abs(e) < NEUTRAL_TOL)
     effective = [float(e) for e in evals if not (periodic and abs(e) < NEUTRAL_TOL)]
     morse = sum(1 for e in effective if e > POS_TOL)
@@ -321,7 +359,11 @@ def orbit_distance(a: SpectralField, b: SpectralField, p: Params,
 
 def _newton_task(task):
     seed, p = task
+    coarse = coarse_domain(seed.domain)
     try:
+        if coarse is not None:
+            s = newton(SpectralField(coarse, resample(seed.data, seed.domain, coarse)), p)
+            seed = SpectralField(seed.domain, resample(s.state.data, coarse, seed.domain))
         return newton(seed, p)
     except (NoConvergence, SingularJacobian):
         return None
@@ -335,9 +377,12 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
     Seeds are random combinations of the critical eigenfunctions plus small
     noise on the slaved modes.  dedup 'symmetry' identifies states equal up
     to a global sign flip (mu = 0) and, for periodic domains, grid
-    translations; 'exact' keeps every distinct state.  With jobs > 1 one
-    fork pool of that size runs the Newton solves and then the stability
-    calls.
+    translations; 'exact' keeps every distinct state.  Each seed is solved
+    on coarse_domain first when the band allows, and its zero-padded result
+    is solved again on the full band; only that full-band solve accepts a
+    state (residual <= NEWTON_TOL), and a coarse failure fails the seed.
+    With jobs > 1 one fork pool of that size runs the Newton solves and
+    then the stability calls.
     """
     check_params(domain, p)
     seed_scale = default_seed_scale(domain, p)
@@ -370,9 +415,12 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
 def index_sum(states: list[SteadyState]) -> int:
     """Sum of (-1)^morse over the given states.
 
-    For an attractor bifurcated from a critical eigenvalue of multiplicity m
-    the sum equals 2 when m is odd and 0 when m is even.  Raises
-    DegenerateState when a non-neutral eigenvalue sits within 1e-8 of zero.
+    Over all the nonzero steady states of an attractor bifurcated from a
+    critical eigenvalue of multiplicity m (find_all with dedup='exact') the
+    sum is 2 when m is odd and 0 when m is even.  Over sign classes
+    (dedup='symmetry') it can differ: in the 3-d odd-periodic census it is
+    2 over all states and 1 over classes.  Raises DegenerateState when a
+    non-neutral eigenvalue sits within 1e-8 of zero.
     """
     total = 0
     for s in states:

@@ -8,7 +8,6 @@ import pytest
 import scipy.optimize as sopt
 from numpy.testing import assert_allclose
 
-from shbif import oracles
 from shbif.dynamics import Params, StepperConfig, integrate
 from shbif.errors import ExplicitDegeneracy
 from shbif.harness import transcritical_amplitude
@@ -31,7 +30,7 @@ D_ODD2 = Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=32, band=8)
 D_PER1 = Domain.make(1, 2 * math.pi, "periodic", grid_n=64, band=16)
 
 
-def test_cubic_tensor_dirichlet_values():
+def test_cubic_tensor_dirichlet_values(inner_by_quadrature):
     T = cubic_tensor(D_DIR, [("sin", (1,))])
     assert_allclose(T[0, 0, 0, 0], 3 / math.pi, rtol=1e-13)
     # third-harmonic entry against quadrature: -1/(2L)
@@ -39,8 +38,7 @@ def test_cubic_tensor_dirichlet_values():
     phi3 = eigenfunction(D_DIR, 3)
     t13 = inner(cube(phi1), phi3)
     assert_allclose(t13, -1 / (2 * D_DIR.length[0]), rtol=1e-13)
-    assert_allclose(t13, oracles.inner_quadrature_oracle(cube(phi1), phi3),
-                    rtol=1e-9)
+    assert_allclose(t13, inner_by_quadrature(cube(phi1), phi3), rtol=1e-9)
 
 
 def test_cubic_tensor_symmetry():

@@ -20,12 +20,14 @@ from shbif.spectral import (
     Mode,
     SpectralField,
     _product_maps,
+    coarse_domain,
     cube,
     grid_coords,
     inner,
     max_translation_inner,
     multiply,
     random_field,
+    resample,
     square,
     to_grid,
     to_spectral,
@@ -188,6 +190,38 @@ def test_product_maps_carry_batch_axes(domain, rng):
                             atol=1e-14 * np.abs(g).max())
 
 
+@pytest.mark.parametrize("band,want", [
+    ((64, 64), (16, 16)), ((16, 16), (8, 8)), ((8, 8), None),
+    ((64, 8), (16, 8)), ((6, 40), (6, 10)),
+])
+def test_coarse_domain_band_rule(band, want):
+    d = Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=256, band=band)
+    c = coarse_domain(d)
+    assert c == (None if want is None else Domain(d.dim, d.length, d.bc, d.grid_n, want))
+
+
+@pytest.mark.parametrize("fine", [
+    Domain.make(1, math.pi, "dirichlet", grid_n=64, band=32),
+    Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=(64, 32), band=(24, 12)),
+    Domain.make(2, 5.0, "periodic", grid_n=64, band=(16, 20)),
+], ids=_domain_id)
+def test_resample_is_exact_both_ways(fine, rng):
+    coarse = coarse_domain(fine)
+    f = random_field(coarse, rng)
+    up = SpectralField(fine, resample(f.data, coarse, fine))
+    assert up.modes() == f.modes()  # each coefficient at its own mode, no others
+    assert np.array_equal(resample(up.data, fine, coarse), f.data)
+    g = random_field(fine, rng)
+    down = SpectralField(coarse, resample(g.data, fine, coarse))
+    assert down.modes() == {m: v for m, v in g.modes().items()
+                            if all(abs(k) <= b for k, b in zip(m.k, coarse.band))}
+    batch = np.stack([random_field(fine, rng).data for _ in range(3)])
+    assert np.array_equal(resample(batch, fine, coarse),
+                          np.stack([resample(x, fine, coarse) for x in batch]))
+    with pytest.raises(DomainMismatch):
+        resample(f.data, coarse, Domain.make(fine.dim, 7.0, fine.bc, fine.grid_n, fine.band))
+
+
 def test_square_dirichlet_quadrature():
     # u = a sin(x) on (0, pi): even harmonics vanish, odd match quadrature
     a = 0.9
@@ -233,11 +267,11 @@ def test_inner_orthonormality():
     assert abs(inner(f1, f2)) <= 1e-15
 
 
-def test_inner_cube_value():
+def test_inner_cube_value(inner_by_quadrature):
     # <phi1^3, phi1> = 3/(2L) = 3/pi at L = pi/2
     phi1 = SpectralField.from_modes(D_DIR_HALF, {1: 1.0})
     assert_allclose(inner(cube(phi1), phi1), 3 / math.pi, rtol=1e-13)
-    ref = oracles.inner_quadrature_oracle(cube(phi1), phi1)
+    ref = inner_by_quadrature(cube(phi1), phi1)
     assert_allclose(inner(cube(phi1), phi1), ref, rtol=1e-10)
 
 

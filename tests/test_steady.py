@@ -335,14 +335,14 @@ def _scaled_state(norm, rng):
 
 
 def _count_lobpcg_calls(monkeypatch):
-    calls = []
-    real = steady._leading_eigs_lobpcg
+    calls = []  # (band, k) per LOBPCG run, coarse warm starts included
+    real = steady._lobpcg
 
     def counted(jac, k):
-        calls.append(k)
+        calls.append((jac.domain.band, k))
         return real(jac, k)
 
-    monkeypatch.setattr(steady, "_leading_eigs_lobpcg", counted)
+    monkeypatch.setattr(steady, "_lobpcg", counted)
     return calls
 
 
@@ -369,12 +369,49 @@ def test_stability_small_nonzero_state_still_iterates(rng, monkeypatch):
 
 def test_stability_warns_at_the_window_cap(rng, monkeypatch):
     # a spectrum whose leading eigenvalues are all positive never ends the
-    # k-doubling loop on a negative one; the cap stops it
-    monkeypatch.setattr(steady, "_leading_eigs_lobpcg",
-                        lambda jac, k: np.linspace(1.0, 2.0, k))
+    # k-doubling loop on a negative one; the cap of 64 stops it
+    seen = []
+
+    def all_positive(jac, k):
+        seen.append(k)
+        return np.linspace(1.0, 2.0, k), np.eye(jac.n, k)
+
+    monkeypatch.setattr(steady, "_leading_eigs_lobpcg", all_positive)
     with pytest.warns(RuntimeWarning, match="Morse index may be truncated"):
         s = stability(_scaled_state(1e-3, rng))
-    assert s.morse_index >= 64
+    assert seen == [10, 20, 40, 64]
+    assert s.morse_index == 64
+
+
+def test_warm_started_lobpcg_matches_cold_start(monkeypatch):
+    states = find_all(D2_BAND16, Params(0.2), n_seeds=20, with_stability=False)
+    calls = _count_lobpcg_calls(monkeypatch)
+    warm = [stability(s) for s in states if s.norm > 1e-6]
+    assert {s.morse_index for s in warm} == {0, 1}
+    assert ((8, 8), 10) in calls  # the block was seeded from band 8
+    monkeypatch.setattr(steady, "coarse_domain", lambda domain: None)
+    calls.clear()
+    cold = [stability(s) for s in states if s.norm > 1e-6]
+    assert {band for band, _ in calls} == {(16, 16)}
+    for w, c in zip(warm, cold):
+        assert w.morse_index == c.morse_index
+        assert_allclose(w.leading_eigs, c.leading_eigs, rtol=0, atol=1e-7)
+
+
+def test_sequenced_census_finds_every_plain_state(monkeypatch):
+    # nested iteration may reach states plain Newton misses from the same
+    # seeds, but it must lose none, and it accepts on the full band only
+    d = Domain.make(2, 4 * math.pi, "odd-periodic", grid_n=128, band=32)
+    p = Params(0.1)
+    sequenced = find_all(d, p, n_seeds=40, with_stability=False)
+    for q in sequenced:
+        assert q.state.domain == d
+        assert residual(q.state, p).norm() <= steady.NEWTON_TOL
+    monkeypatch.setattr(steady, "coarse_domain", lambda domain: None)
+    plain = find_all(d, p, n_seeds=40, with_stability=False)
+    assert len(plain) >= 3
+    for s in plain:
+        assert min(orbit_distance(s.state, q.state, p) for q in sequenced) <= 1e-10
 
 
 def test_stability_warns_on_arpack_fallback(rng, monkeypatch):
