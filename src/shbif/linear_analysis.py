@@ -13,7 +13,7 @@ dirichlet modes use kappa = k pi / L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -137,3 +137,23 @@ def principal(domain: Domain) -> EigenSummary:
     else:
         modes = tuple(Mode("sin", k) for k in ks)
     return EigenSummary(domain, lam_c, modes, len(modes))
+
+
+def coarse_domain(domain: Domain) -> Domain | None:
+    """The same box and grid_n on a coarser band that holds the critical shell.
+
+    Per axis the band is the largest of ceil(b / 4), 8 and 8 K_c, K_c the
+    largest index on that axis of a mode with |kappa| = |kappa_c|: it holds
+    the critical modes, the modes near them and their first odd harmonics.
+    Returns None when no axis gets coarser or when the band misses the
+    critical modes (BandTooSmall).  Product maps depend on the band alone.
+    """
+    try:
+        crit = principal(domain).critical_modes
+    except BandTooSmall:
+        return None
+    kappa_c = max(float(np.linalg.norm(wavevector(domain, m.k))) for m in crit)
+    spacing = wavevector(domain, (1,) * domain.dim)
+    band = tuple(min(b, max(-(-b // 4), 8, 8 * math.ceil(kappa_c / h - 1e-9)))
+                 for b, h in zip(domain.band, spacing))
+    return None if band == domain.band else replace(domain, band=band)

@@ -232,16 +232,6 @@ def lattice_symbol(domain: Domain) -> np.ndarray:
     return _lattice(domain).symbol
 
 
-def coarse_domain(domain: Domain) -> Domain | None:
-    """The same box and grid_n with band ceil(b / 4), at least 8, per axis.
-
-    Returns None when no axis changes.  Product maps depend on the band
-    alone, so products on the coarse domain cost what its band costs.
-    """
-    band = tuple(min(b, max(8, -(-b // 4))) for b in domain.band)
-    return None if band == domain.band else replace(domain, band=band)
-
-
 @lru_cache(maxsize=None)
 def _shared_slots(src: Domain, dst: Domain) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions (in src, in dst) of the modes both bands retain."""

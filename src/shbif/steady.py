@@ -15,12 +15,14 @@ eigendecomposition for small systems and a preconditioned block iteration
 
 Census solves and LOBPCG use nested iteration (grid sequencing; Kelley,
 Solving Nonlinear Equations with Newton's Method, 2003, sec. 1.9): the
-problem is solved first on spectral.coarse_domain, band ceil(b / 4) and at
-least 8 per axis, and the zero-padded result starts the solve on the full
-band.  Bifurcated states decay fast in |K|, so that start is usually
-already converged.  Only the full band decides: a state is accepted when
-its full-band residual meets NEWTON_TOL, and every reported eigenvalue
-comes from a full-band LOBPCG, dense or Weyl evaluation.
+problem is solved first on linear_analysis.coarse_domain, whose band per
+axis is the largest of ceil(b / 4), 8 and 8 K_c (K_c the critical shell's
+index on that axis), and the zero-padded result starts the solve on the
+full band.  States bifurcated from zero decay fast in |K|, so near onset
+that start is already converged; a state the coarse band does not resolve
+costs full-band Newton steps.  Only the full band decides: a state is
+accepted when its full-band residual meets NEWTON_TOL, and every reported
+eigenvalue comes from a full-band LOBPCG, dense or Weyl evaluation.
 """
 
 from __future__ import annotations
@@ -42,13 +44,12 @@ from .errors import (
     NoConvergence,
     SingularJacobian,
 )
-from .linear_analysis import eigenfunction, growth_array, principal
+from .linear_analysis import coarse_domain, eigenfunction, growth_array, principal
 from .spectral import (
     BoundaryCondition,
     Domain,
     SpectralField,
     _product_maps,
-    coarse_domain,
     cube,
     inner,
     max_translation_inner,
@@ -210,8 +211,9 @@ def _lobpcg_start(jac: _Jacobian, k: int) -> np.ndarray:
     """Initial LOBPCG block of k columns for jac.
 
     The coarse Jacobian's leading Ritz vectors, zero-padded to the full
-    band (Knyazev, SISC 23, 2001), when coarse_domain gives a problem that
-    LOBPCG iterates on (scipy's size rule, n >= 5 k) and that iteration
+    band (Knyazev, SISC 23, 2001), when coarse_domain, which keeps the
+    critical shell and the modes near it, gives a problem that LOBPCG
+    iterates on (scipy's size rule, n >= 5 k) and that iteration
     succeeds.  Otherwise unit vectors on the least-damped modes plus a
     little fixed noise.
     """
@@ -378,9 +380,11 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
     noise on the slaved modes.  dedup 'symmetry' identifies states equal up
     to a global sign flip (mu = 0) and, for periodic domains, grid
     translations; 'exact' keeps every distinct state.  Each seed is solved
-    on coarse_domain first when the band allows, and its zero-padded result
-    is solved again on the full band; only that full-band solve accepts a
-    state (residual <= NEWTON_TOL), and a coarse failure fails the seed.
+    on coarse_domain first when the band exceeds what that holds (8 K_c per
+    axis and more), and its zero-padded result is solved again on the full
+    band; only that full-band solve accepts a state (residual <=
+    NEWTON_TOL), and a coarse failure fails the seed.  This pays off when
+    the states are resolved within the coarse band, as near onset.
     With jobs > 1 one fork pool of that size runs the Newton solves and
     then the stability calls.
     """

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from shbif.dynamics import Params, step
 from shbif.errors import BandTooSmall
 from shbif.linear_analysis import (
+    coarse_domain,
     eigenfunction,
     growth_array,
     growth_rate,
@@ -140,3 +141,29 @@ def test_criticality_sign(delta):
     s = principal(d)
     b = s.beta(s.critical_modes[0], s.lambda_c + delta)
     assert b == pytest.approx(delta, abs=1e-12)
+
+
+@pytest.mark.parametrize("length,band,want", [
+    # K_c = 1: ceil(b / 4), at least 8, per axis
+    (2 * math.pi, (64, 64), (16, 16)), (2 * math.pi, (16, 16), (8, 8)),
+    (2 * math.pi, (8, 8), None), (2 * math.pi, (64, 8), (16, 8)),
+    (2 * math.pi, (6, 40), (6, 10)),
+    # K_c = 2 and 4: the band keeps 8 K_c
+    (4 * math.pi, (32, 32), (16, 16)), (8 * math.pi, (64, 32), (32, 32)),
+    (8 * math.pi, (32, 32), None),
+    # K_c = (1, 4) on a 2 pi x 8 pi box
+    ((2 * math.pi, 8 * math.pi), (64, 64), (16, 32)),
+])
+def test_coarse_domain_band_rule(length, band, want):
+    d = Domain.make(2, length, "odd-periodic", grid_n=256, band=band)
+    c = coarse_domain(d)
+    assert c == (None if want is None else Domain(d.dim, d.length, d.bc, d.grid_n, want))
+
+
+@pytest.mark.parametrize("band,want", [(48, None), (20, None), (128, 104), (12, None)])
+def test_coarse_domain_keeps_the_long_dirichlet_critical_shell(band, want):
+    # L = 40: the critical mode is n = 13, so the coarse band keeps 8 * 13;
+    # at band 12 that mode lies outside the band and nothing is coarsened
+    d = Domain.make(1, 40.0, "dirichlet", grid_n=256, band=band)
+    c = coarse_domain(d)
+    assert c == (None if want is None else Domain(d.dim, d.length, d.bc, d.grid_n, (want,)))
