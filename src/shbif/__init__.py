@@ -41,11 +41,9 @@ from .linear_analysis import (
     principal,
 )
 from .reduced import (
-    AmplitudePrediction,
     ReducedSystem,
     build_reduced,
     cubic_tensor,
-    predict_amplitudes,
     quadratic_tensor,
     reduced_fixed_points,
     slaved_mode_prediction,
@@ -68,9 +66,7 @@ from .spectral import (
     triple,
 )
 from .steady import (
-    Branch,
     SteadyState,
-    continue_branch,
     find_all,
     index_sum,
     jacobian_apply,

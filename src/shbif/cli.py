@@ -28,7 +28,7 @@ from .harness import (
     write_pgm_2d,
 )
 from .linear_analysis import principal
-from .reduced import build_reduced, predict_amplitudes, reduced_fixed_points
+from .reduced import build_reduced, reduced_fixed_points
 from .spectral import SpectralField, to_grid
 from .steady import find_all, newton, stability
 
@@ -153,14 +153,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_reduce(args) -> int:
     cfg = _base_config(args)
-    d = cfg.domain()
-    sys = build_reduced(d)
+    sys = build_reduced(cfg.domain())
     fps = reduced_fixed_points(sys, cfg.lam, cfg.mu)
-    pred = predict_amplitudes(d, cfg.params())
     doc = {
         "reduced_system": sys.as_dict(),
         "fixed_points": [f.as_dict() for f in fps],
-        "prediction": pred.as_dict(),
     }
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seeds per lambda (default: n_seeds from --config, else 20)")
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("reduce", help="reduced tensors, fixed points, predictions")
+    sp = sub.add_parser("reduce", help="reduced tensors and fixed points")
     _add_domain_flags(sp)
     _add_param_flags(sp)
     sp.set_defaults(func=cmd_reduce)

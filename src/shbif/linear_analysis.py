@@ -57,9 +57,6 @@ class EigenSummary:
     critical_modes: tuple[Mode, ...]
     multiplicity: int
 
-    def beta(self, mode, lam: float) -> float:
-        return growth_rate(self.domain, mode, lam)
-
     @property
     def degenerate(self) -> bool:
         """True when the minimum is attained at distinct |kappa|^2 values."""
@@ -79,7 +76,8 @@ class EigenSummary:
         }
         if lam is not None:
             out["betas"] = {
-                f"{m.kind}{list(m.k)}": self.beta(m, lam) for m in self.critical_modes
+                f"{m.kind}{list(m.k)}": growth_rate(self.domain, m, lam)
+                for m in self.critical_modes
             }
         return out
 

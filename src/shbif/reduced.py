@@ -17,7 +17,10 @@ Closed-form consequences used by the verification suites:
 
 * dirichlet pitchfork: nontrivial roots x = +-sqrt(beta1 / T1111), physical
   sine amplitude sqrt(2/L) x = sqrt(4 beta1 / 3) for the first mode.
-* quadratic (mu > 0) branch: x = -beta1 / (mu alpha), alpha = <phi_c^2, phi_c>.
+* quadratic (mu > 0) branch: the nonzero equilibria are the roots of
+  T y^2 - mu Q y - beta1 = 0 (T = T[0,0,0,0], Q = Q[0,0,0] = <phi_c^2, phi_c>);
+  the linear law y = -beta1 / (mu Q) is the leading term of the root that
+  vanishes at beta1 = 0.
 * odd-periodic n modes: the all-modes-active equilibria have equal squares
   a^2 = beta1 / (T_self + (n-1) C_cross) = 2 V beta1 / (3 (2n-1)) with
   V = L^n; single-mode equilibria have a^2 = 2 V beta1 / 3.
@@ -238,63 +241,6 @@ def reduced_fixed_points(sys: ReducedSystem, lam: float,
 # ---------------------------------------------------------------------------
 # closed-form predictions
 # ---------------------------------------------------------------------------
-
-@dataclass
-class AmplitudePrediction:
-    """Leading-order amplitude prediction for the critical configuration."""
-
-    domain: Domain
-    lam: float
-    mu: float
-    lambda_c: float
-    modes: tuple[Mode, ...]
-    coefficients: dict  # Mode -> predicted basis coefficient (primary pattern)
-    physical: dict  # Mode -> predicted physical amplitude
-    pattern: str
-    leading_order_only: bool = True
-
-    def as_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "mu": self.mu,
-            "lambda_c": self.lambda_c,
-            "pattern": self.pattern,
-            "coefficients": {f"{m.kind}{list(m.k)}": v for m, v in self.coefficients.items()},
-            "physical": {f"{m.kind}{list(m.k)}": v for m, v in self.physical.items()},
-            "leading_order_only": self.leading_order_only,
-        }
-
-
-def predict_amplitudes(domain: Domain, p: Params) -> AmplitudePrediction:
-    """Closed-form leading-order amplitudes from the computed tensors."""
-    sys = build_reduced(domain)
-    beta1 = sys.beta1(p.lam)
-    phys_scale = math.sqrt(2.0 / domain.volume)
-    if p.mu != 0.0:
-        alpha = sys.quadratic[0, 0, 0]
-        x = -beta1 / (p.mu * alpha) if alpha != 0 else 0.0
-        coeffs = {sys.modes[0]: x}
-        pattern = "transcritical"
-    elif domain.is_dirichlet or sys.m == 1:
-        t = sys.cubic[0, 0, 0, 0]
-        x = math.sqrt(beta1 / t) if beta1 > 0 else 0.0
-        coeffs = {sys.modes[0]: x}
-        pattern = "pitchfork"
-    else:
-        C = _coupling_matrix(sys)
-        try:
-            sq = np.linalg.solve(C, np.full(sys.m, beta1))
-        except np.linalg.LinAlgError:
-            sq = np.zeros(sys.m)
-        a = math.sqrt(float(sq[0])) if beta1 > 0 and np.all(sq > 0) else 0.0
-        coeffs = {m: a for m in sys.modes}
-        pattern = "equal-amplitude"
-    return AmplitudePrediction(
-        domain, p.lam, p.mu, sys.lambda_c, sys.modes,
-        coeffs, {m: v * phys_scale for m, v in coeffs.items()},
-        pattern, True,
-    )
-
 
 def slaved_mode_prediction(domain: Domain, lam: float, x1: float) -> float:
     """Third-harmonic coefficient slaved to the critical amplitude x1.

@@ -1,4 +1,4 @@
-"""Steady states: Newton-Krylov solves, stability, census, continuation.
+"""Steady states: Newton-Krylov solves, stability and census.
 
 The steady equation -(I+Laplace)^2 u + lambda u + mu u^2 - u^3 = 0 is solved
 by Newton iteration with matrix-free inner solves.  The Jacobian
@@ -439,66 +439,3 @@ def index_sum(states: list[SteadyState]) -> int:
         total += (-1) ** s.morse_index
     return total
 
-
-# ---------------------------------------------------------------------------
-# continuation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Branch:
-    """Natural-parameter continuation record."""
-
-    points: list  # list of (lambda, SteadyState)
-    direction: int
-    stop_reason: str  # 'reached-end' | 'bifurcation' | 'no-convergence'
-    crossing_lambda: float | None = None
-
-
-def _top_eig(s: SteadyState) -> float:
-    eigs = [e for e in s.leading_eigs if e not in set(s.neutral_eigs or ())]
-    return eigs[0] if eigs else 0.0
-
-
-def continue_branch(start: SteadyState, lam_end: float, dlam: float, *,
-                    stop_at_crossing: bool = True, n_eigs: int = 6) -> Branch:
-    """Trace a branch in lambda with a secant predictor.
-
-    Records a crossing event when the leading Jacobian eigenvalue changes
-    sign between consecutive points; with stop_at_crossing the trace stops
-    there, otherwise it continues (the event stays recorded).
-    """
-    p0 = Params(start.lam, start.mu)
-    direction = 1 if lam_end >= start.lam else -1
-    h = abs(dlam) * direction
-    if start.leading_eigs is None:
-        start = stability(start, n_eigs=n_eigs)
-    points = [(start.lam, start)]
-    crossing = None
-    stop_reason = "reached-end"
-    lam = start.lam
-    prev, prev2 = start, None
-    while (lam_end - lam) * direction > 1e-12:
-        lam = lam + h
-        if (lam - lam_end) * direction > 0:
-            lam = lam_end
-        if prev2 is not None:
-            pred = prev.state + 1.0 * (prev.state - prev2.state)
-        else:
-            pred = prev.state
-        try:
-            s = newton(pred, Params(lam, start.mu))
-        except (NoConvergence, SingularJacobian):
-            stop_reason = "bifurcation"
-            crossing = crossing if crossing is not None else lam
-            break
-        s = stability(s, n_eigs=n_eigs)
-        e_prev, e_new = _top_eig(prev), _top_eig(s)
-        crossed = (e_prev > POS_TOL) != (e_new > POS_TOL) or abs(e_new) <= POS_TOL
-        points.append((lam, s))
-        prev2, prev = prev, s
-        if crossed and crossing is None:
-            crossing = lam
-            if stop_at_crossing:
-                stop_reason = "bifurcation"
-                break
-    return Branch(points, direction, stop_reason, crossing)

@@ -7,6 +7,28 @@ them on success).
 
 from shbif.harness import run_suite
 
+# The report schema: each scenario's check names, in report order.  A
+# refactor must not rename, drop or reorder a check silently.
+CHECK_NAMES = {
+    "decay-subcritical": ["l2-within-exponential-envelope"],
+    "decay-critical": ["l2sq-within-algebraic-envelope", "final-norm-halved"],
+    "decay-supercritical": ["l2sq-within-logistic-cap"],
+    "pitchfork-amplitude": ["amplitude-sq-slope", "profile-cosine-similarity"],
+    "pitchfork-census": ["nonzero-state-count", "states-are-mirror-pair",
+                         "index-sum", "basin-labels-resolved"],
+    "gsh-transcritical": ["morse-index-saddle", "amplitude-law-saddle",
+                          "morse-index-attractor", "amplitude-law-attractor",
+                          "amplitude-linearity", "amplitude-law-order"],
+    "odd-periodic-census": ["nonzero-state-count", "amplitudes-match-reduced",
+                            "stability-split", "index-sum", "runtime-seconds"],
+    "periodic-torus": ["max-residual", "norm-spread", "neutral-mode-count",
+                       "no-positive-eigenvalue"],
+    "slaved-mode": ["slaved-third-harmonic-ratio"],
+    "reduced-shadowing": ["critical-amplitude-shadowing"],
+    "infrastructure": ["transform-roundtrip", "products-vs-convolution-oracle",
+                       "jacobian-fd-slope", "etdrk2-order", "lyapunov-monotone"],
+}
+
 
 def _run(name, tmp_path):
     report = run_suite(name, out_dir=str(tmp_path))
@@ -14,6 +36,7 @@ def _run(name, tmp_path):
     print(f"ACCEPTANCE {name}: {status}")
     for line in report.summary_lines():
         print("  " + line)
+    assert [c.name for c in report.checks] == CHECK_NAMES[name]
     detail = "\n".join(report.summary_lines())
     assert report.passed, f"scenario {name} failed:\n{detail}"
 

@@ -145,6 +145,15 @@ def test_decay_series_csv_parses(tmp_path):
     assert all(len(r) == 3 and math.isfinite(r[2]) for r in rows)
 
 
+def test_decay_check_named_for_monitored_regime(tmp_path):
+    # above lambda_c integrate monitors the logistic cap, whatever the id says
+    cfg = default_config("decay-critical")
+    cfg.lam = 9.5
+    rep = run_suite("decay-critical", cfg, out_dir=str(tmp_path))
+    assert [c.name for c in rep.checks] == ["l2sq-within-logistic-cap"]
+    assert rep.passed
+
+
 def test_report_json_contains_tolerance_and_provenance(tmp_path):
     rep = run_suite("slaved-mode", out_dir=str(tmp_path))
     doc = json.loads(rep.to_json())
@@ -294,8 +303,8 @@ def test_cli_reduce(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["reduced_system"]["lambda_c"] == 9.0
-    assert doc["prediction"]["pattern"] == "pitchfork"
-    assert len(doc["fixed_points"]) == 3
+    kinds = sorted(f["kind"] for f in doc["fixed_points"])
+    assert kinds == ["attractor", "attractor", "source"]
 
 
 def test_cli_sweep(tmp_path, capsys):

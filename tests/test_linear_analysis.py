@@ -35,7 +35,7 @@ def test_growth_zero_at_critical():
               Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=16, band=4)):
         s = principal(d)
         for m in s.critical_modes:
-            assert abs(s.beta(m, s.lambda_c)) <= 1e-12
+            assert abs(growth_rate(d, m, s.lambda_c)) <= 1e-12
 
 
 def test_principal_dirichlet_unit():
@@ -139,7 +139,7 @@ def test_degenerate_length_reported():
 def test_criticality_sign(delta):
     d = Domain.make(1, math.pi / 2, "dirichlet", grid_n=64, band=16)
     s = principal(d)
-    b = s.beta(s.critical_modes[0], s.lambda_c + delta)
+    b = growth_rate(d, s.critical_modes[0], s.lambda_c + delta)
     assert b == pytest.approx(delta, abs=1e-12)
 
 

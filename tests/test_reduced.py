@@ -1,4 +1,4 @@
-"""Reduced amplitude systems, tensors, closed-form predictions."""
+"""Reduced amplitude systems, tensors, fixed points, closed-form laws."""
 
 import itertools
 import math
@@ -16,7 +16,6 @@ from shbif.reduced import (
     build_reduced,
     cubic_flow,
     cubic_tensor,
-    predict_amplitudes,
     quadratic_tensor,
     reduced_fixed_points,
     slaved_mode_prediction,
@@ -178,34 +177,28 @@ def test_periodic_flow_subspace_and_rotation():
         assert max(abs(dy3[0]), abs(dz3[0])) < 1e-12
 
 
-def test_predict_amplitudes_dirichlet():
-    pred = predict_amplitudes(D_DIR, Params(9.5))
-    assert pred.pattern == "pitchfork"
-    (amp,) = pred.physical.values()
-    assert_allclose(amp, math.sqrt(4 / 3 * 0.5), rtol=1e-12)
-    pred0 = predict_amplitudes(D_DIR, Params(9.0))
-    assert list(pred0.physical.values()) == [0.0]
+def test_reduced_fixed_points_dirichlet_pitchfork():
+    sys = build_reduced(D_DIR)
+    phys = math.sqrt(2 / D_DIR.volume)
+    amps = sorted(f.y[0] * phys for f in reduced_fixed_points(sys, 9.5))
+    a = math.sqrt(2 / 3)
+    assert_allclose(amps, [-a, 0.0, a], rtol=1e-12, atol=0.0)
+    at_critical = reduced_fixed_points(sys, sys.lambda_c)
+    assert [f.y.tolist() for f in at_critical] == [[0.0]]
 
 
-def test_predict_amplitudes_gsh():
-    pred = predict_amplitudes(D_DIR, Params(8.9, mu=1.0))
-    (amp,) = pred.physical.values()
-    assert_allclose(amp, (3 * math.pi / 8) * 0.1, rtol=1e-10)
-
-
-def test_predict_amplitudes_vs_pde_integration():
+def test_equal_amplitude_point_vs_pde_integration():
     # the diagonal is invariant: a symmetric seed converges to the
-    # equal-amplitude state, matching the tensor-based prediction
+    # equal-amplitude equilibrium of the reduced flow
     lam = 0.2
-    pred = predict_amplitudes(D_ODD2, Params(lam))
-    assert pred.pattern == "equal-amplitude"
-    a = list(pred.coefficients.values())[0]
-    u0 = 0.3 * a * (eigenfunction(D_ODD2, ("sin", (1, 0)))
-                    + eigenfunction(D_ODD2, ("sin", (0, 1))))
+    sys = build_reduced(D_ODD2)
+    (y,) = [f.y for f in reduced_fixed_points(sys, lam) if np.all(f.y > 0)]
+    u0 = 0.3 * y[0] * (eigenfunction(D_ODD2, sys.modes[0])
+                       + eigenfunction(D_ODD2, sys.modes[1]))
     rep = integrate(u0, Params(lam), StepperConfig(dt=5e-3, t_end=80.0,
                                                    sample_every=200))
-    got = [rep.final_state.coeff(m) for m in pred.coefficients]
-    assert_allclose(got, [a, a], rtol=0.05)
+    got = [rep.final_state.coeff(m) for m in sys.modes]
+    assert_allclose(got, y, rtol=0.05)
 
 
 def test_torus_points_phases():

@@ -1,4 +1,4 @@
-"""Newton solves, stability, census, continuation."""
+"""Newton solves, stability and census."""
 
 import math
 
@@ -27,7 +27,6 @@ from shbif.steady import (
     _residual,
     _solve_newton_system,
     _weyl_bound,
-    continue_branch,
     find_all,
     index_sum,
     jacobian_apply,
@@ -239,42 +238,6 @@ def test_orbit_distance_translation():
     assert orbit_distance(s.state, shifted, p) <= 1e-10
     assert orbit_distance(s.state, shifted, p, "exact") > 0.1
     assert orbit_distance(s.state, -1.0 * s.state, p) <= 1e-12
-
-
-def test_continue_branch_detects_crossing():
-    start = stability(newton(SpectralField.zeros(D), Params(8.7)))
-    br = continue_branch(start, 9.4, 0.1)
-    assert br.stop_reason == "bifurcation"
-    assert abs(br.crossing_lambda - 9.0) <= 0.1 + 1e-12
-
-
-def test_continue_branch_pitchfork_slope():
-    start = stability(newton(0.8 * eigenfunction(D, 1), P95))
-    br = continue_branch(start, 9.05, 0.05, stop_at_crossing=False)
-    assert br.stop_reason == "reached-end"
-    lams = np.array([lam for lam, _ in br.points])
-    amps2 = np.array([(s.state.coeff(1) * math.sqrt(2 / D.length[0])) ** 2
-                      for _, s in br.points])
-    slope = np.polyfit(lams - 9.0, amps2, 1)[0]
-    assert abs(slope - 4 / 3) <= 0.03 * 4 / 3
-    # consecutive points stay close along the branch
-    norms = [s.norm for _, s in br.points]
-    assert max(abs(np.diff(norms))) < 0.5
-
-
-def test_continue_branch_gsh_through_critical():
-    p = Params(8.9, mu=1.0)
-    s0 = stability(newton(0.12 * eigenfunction(D, 1), p))
-    assert s0.morse_index == 1
-    br = continue_branch(s0, 9.1, 0.05, stop_at_crossing=False)
-    assert br.stop_reason == "reached-end"
-    assert br.crossing_lambda is not None
-    amps = {round(lam, 5): s.state.coeff(1) for lam, s in br.points}
-    assert amps[8.9] > 0
-    assert abs(amps[9.0]) <= 1e-5  # branch passes through the trivial state
-    assert amps[9.1] < 0
-    final = stability(br.points[-1][1])
-    assert final.morse_index == 0
 
 
 @pytest.mark.parametrize("case", ["dirichlet-saddle", "odd-periodic-mixed"])
