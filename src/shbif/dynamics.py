@@ -1,11 +1,11 @@
 """Time integration of u_t = -(I+Laplace)^2 u + lambda u + mu u^2 - u^3.
 
 The linear part is diagonal in the spectral basis and integrated exactly by
-its exponential; the nonlinear part uses exponential time differencing with
-the phi-function weights of Cox & Matthews (J. Comput. Phys. 176, 2002):
+its exponential; the nonlinear part uses the two-stage exponential time
+differencing scheme ETDRK2 with the phi-function weights of Cox & Matthews
+(J. Comput. Phys. 176, 2002):
 
-    ETD1:   u+ = E u + dt phi1 N(u)
-    ETDRK2: a  = E u + dt phi1 N(u),  u+ = a + dt phi2 (N(a) - N(u))
+    a = E u + dt phi1 N(u),  u+ = a + dt phi2 (N(a) - N(u))
 
 with E = exp(dt beta), phi1(z) = (e^z - 1)/z, phi2(z) = (e^z - 1 - z)/z^2.
 Stability is not limited by the stiff linear part, only accuracy by dt.
@@ -51,9 +51,6 @@ from .spectral import (
     to_grid,
 )
 
-SCHEMES = ("etd1", "etdrk2")
-
-
 @dataclass(frozen=True)
 class Params:
     """Control parameter lambda and quadratic coefficient mu (0 = plain SH)."""
@@ -75,7 +72,7 @@ def check_params(domain: Domain, p: Params):
 class StepperConfig:
     dt: float = 1e-3
     t_end: float = 10.0
-    scheme: str = "etdrk2"
+    scheme: str = "etdrk2"  # ETDRK2 is the only scheme
     sample_every: int = 100
 
     def __post_init__(self):
@@ -83,8 +80,8 @@ class StepperConfig:
             raise RangeError("dt must be positive")
         if self.t_end <= 0:
             raise RangeError("t_end must be positive")
-        if self.scheme not in SCHEMES:
-            raise RangeError(f"scheme must be one of {SCHEMES}")
+        if self.scheme != "etdrk2":
+            raise RangeError("scheme must be 'etdrk2'")
         if self.sample_every < 1:
             raise RangeError("sample_every must be >= 1")
 
@@ -111,8 +108,8 @@ def _weights(domain: Domain, lam: float, dt: float):
     return np.exp(z), dt * _phi1(z), dt * _phi2(z)
 
 
-def _etd_kernel(domain: Domain, p: Params, dt: float, scheme: str):
-    """The one ETD step on coefficient arrays of shape (..., n): x -> x + dt.
+def _etd_kernel(domain: Domain, p: Params, dt: float):
+    """The one ETDRK2 step on coefficient arrays of shape (..., n): x -> x + dt.
 
     Leading axes are a batch, broadcast by E, f1 and f2; the product maps
     act on the trailing axis.  The stages use C(x) = -N(x) = P(g^3) -
@@ -137,11 +134,6 @@ def _etd_kernel(domain: Domain, p: Params, dt: float, scheme: str):
             c -= s
         return c
 
-    def etd1(x):
-        a = E * x
-        a += nf1 * minus_nonlinear(x)
-        return a
-
     def etdrk2(x):
         cx = minus_nonlinear(x)
         a = E * x
@@ -152,15 +144,14 @@ def _etd_kernel(domain: Domain, p: Params, dt: float, scheme: str):
         a += ca
         return a
 
-    return etd1 if scheme == "etd1" else etdrk2
+    return etdrk2
 
 
-def step(u: SpectralField, p: Params, dt: float, *,
-         scheme: str = "etdrk2") -> SpectralField:
+def step(u: SpectralField, p: Params, dt: float) -> SpectralField:
     """Advance one time step."""
     check_params(u.domain, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _etd_kernel(u.domain, p, dt, scheme)(u.data)
+        out = _etd_kernel(u.domain, p, dt)(u.data)
     if not np.all(np.isfinite(out)):
         raise NonFinite("state overflowed during time step")
     return SpectralField(u.domain, out)
@@ -307,7 +298,7 @@ def integrate(u0, p: Params, cfg: StepperConfig):
             lam_c, p, stopped_steady=stopped, overflowed=overflowed,
         )
 
-    advance = _etd_kernel(domain, p, cfg.dt, cfg.scheme)
+    advance = _etd_kernel(domain, p, cfg.dt)
     nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
     sample_dt = cfg.dt * cfg.sample_every
     x = u0.data if single else np.stack([f.data for f in members])
@@ -362,15 +353,17 @@ def integrate(u0, p: Params, cfg: StepperConfig):
 
 
 def basin_probe(p: Params, seeds, *, t_max: float = 400.0):
-    """Integrate the seeds and label each by the steady state it approaches.
+    """Integrate the seeds to t_max and label each by where it ends.
 
-    The seeds not yet labelled advance as one batch, 20 time units per call.
-
-    Returns (labels, references) where references maps label -> field; a
-    seed takes the label of a reference once it is within 1e-4 of it.  For
-    mu = 0 the labels are 'u1'/'u2'/'trivial'; for mu > 0 they are
-    'attractor'/'divergent-side'/'trivial'; anything unresolved within
-    t_max is labelled 'unresolved'.
+    One integrate call advances every seed as a batch; a seed leaves it
+    when it settles.  Returns (labels, references) where references maps
+    label -> field; a seed takes the label of the reference nearest its
+    final state when that lies within 1e-4.  For mu = 0 the labels are
+    'u1'/'u2'/'trivial'; for mu > 0 they are 'attractor'/'trivial', and
+    'divergent-side' for a seed that overflowed or settled away from every
+    reference: for the quadratic equation that is the far side of the
+    stable manifold of 0 (only one local attractor exists).  Any other seed
+    is 'unresolved'.
     """
     from . import steady as _steady  # local import: steady depends on spectral only
 
@@ -393,36 +386,15 @@ def basin_probe(p: Params, seeds, *, t_max: float = 400.0):
             p.mu * inner(square(phi_c), phi_c))
         if amp != 0.0:
             references["attractor"] = _steady.newton(amp * phi_c, p).state
-    big = 2.0 * max(f.norm() for f in references.values()) + 1.0
 
-    labels = ["unresolved"] * len(seeds)
-    states = list(seeds)
-    pending = list(range(len(seeds)))
-    chunk = StepperConfig(dt=2e-3, t_end=20.0, scheme="etdrk2", sample_every=100)
-    t = 0.0
-    while pending and t < t_max:
-        reports = integrate([states[i] for i in pending], p, chunk)
-        t += chunk.t_end
-        unresolved = []
-        for i, rep in zip(pending, reports):
-            u = states[i] = rep.final_state
-            if rep.overflowed:
-                if p.mu > 0:
-                    labels[i] = "divergent-side"
-                continue
-            dists = [(name, (u - f).norm()) for name, f in references.items()]
-            name, dmin = min(dists, key=lambda kv: kv[1])
-            if dmin < 1e-4:
-                labels[i] = name
-            elif p.mu > 0 and u.norm() > big:
-                labels[i] = "divergent-side"
-            elif rep.stopped_steady:
-                # settled on a steady state away from every reference: for
-                # the quadratic equation that is the far side of the stable
-                # manifold of 0 (only one local attractor exists)
-                if p.mu > 0:
-                    labels[i] = "divergent-side"
-            else:
-                unresolved.append(i)
-        pending = unresolved
+    labels = []
+    for rep in integrate(seeds, p, StepperConfig(2e-3, t_max, "etdrk2", 100)):
+        dist, name = min(((rep.final_state - f).norm(), name)
+                         for name, f in references.items())
+        if dist < 1e-4 and not rep.overflowed:
+            labels.append(name)
+        elif p.mu > 0 and (rep.overflowed or rep.stopped_steady):
+            labels.append("divergent-side")
+        else:
+            labels.append("unresolved")
     return labels, references

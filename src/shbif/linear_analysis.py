@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import BandTooSmall
 from .spectral import (
-    BoundaryCondition,
     Domain,
     Mode,
     SpectralField,
+    _Lattice,
     _coerce_mode,
     lattice_symbol,
     wavevector,
@@ -86,54 +86,28 @@ class EigenSummary:
 def principal(domain: Domain) -> EigenSummary:
     """Minimize the quartic symbol over the retained mode lattice.
 
-    Raises BandTooSmall when the minimizer of (1-|kappa|^2)^2 over the full
-    integer lattice falls outside the retained band (checked by scanning one
-    extra shell beyond the band).
+    Any mode whose symbol (1-|kappa|^2)^2 is at most s, the least symbol on
+    the band, has |kappa|^2 <= 1 + sqrt(s).  So the mode lattice of the same
+    box is scanned with each band widened to hold every such mode, plus one
+    shell (grid_n enlarged so that the wider band is valid); in more than
+    one dimension one shell past the band alone can miss a better mode.
+    lambda_c is the least symbol there, and the critical modes are every
+    kind on each wavevector within _TIE_TOL of it.  Raises BandTooSmall when
+    one of those wavevectors lies outside the retained band.
     """
-    if domain.is_dirichlet:
-        L = domain.length[0]
-        B = domain.band[0]
-        n = np.arange(1, B + 2, dtype=float)
-        vals = (1.0 - (n * math.pi / L) ** 2) ** 2
-        lam_c = float(vals.min())
-        atol = _TIE_TOL * (1.0 + abs(lam_c))
-        winners = np.nonzero(vals <= lam_c + atol)[0] + 1
-        if winners.max() > B:
-            raise BandTooSmall(
-                f"critical dirichlet mode n={winners.max()} exceeds band {B}"
-            )
-        modes = tuple(Mode("sin", (int(n),)) for n in winners)
-        return EigenSummary(domain, lam_c, modes, len(modes))
-
-    # periodic variants: scan the band extended by one shell per axis
-    axes = [np.arange(-(b + 1), b + 2) for b in domain.band]
-    grids = np.meshgrid(*axes, indexing="ij")
-    kap2 = np.zeros(grids[0].shape)
-    for g, L in zip(grids, domain.length):
-        kap2 += (2.0 * math.pi * g / L) ** 2
-    vals = (1.0 - kap2) ** 2
-    center = tuple(b + 1 for b in domain.band)
-    vals[center] = np.inf  # zero mode excluded
+    radius = math.sqrt(1.0 + math.sqrt(float(lattice_symbol(domain).min())))
+    band = tuple(max(b, math.floor(radius / h)) + 1
+                 for b, h in zip(domain.band, wavevector(domain, (1,) * domain.dim)))
+    wide = _Lattice(replace(domain, band=band,
+                            grid_n=tuple(1 << (2 * b + 2).bit_length() for b in band)))
+    vals = wide.symbol[: wide.nhalf]
     lam_c = float(vals.min())
-    atol = _TIE_TOL * (1.0 + abs(lam_c))
-    winners = np.argwhere(vals <= lam_c + atol)
-    ks = []
-    for w in winners:
-        k = tuple(int(wi - (b + 1)) for wi, b in zip(w, domain.band))
+    tie = lam_c + _TIE_TOL * (1.0 + abs(lam_c))
+    winners = sorted(map(tuple, wide.kvecs[vals <= tie].tolist()))
+    for k in winners:
         if any(abs(ki) > b for ki, b in zip(k, domain.band)):
             raise BandTooSmall(f"critical mode {k} exceeds band {domain.band}")
-        first = next(v for v in k if v != 0)
-        if first > 0:
-            ks.append(k)
-    ks = sorted(set(ks))
-    if domain.bc is BoundaryCondition.PERIODIC:
-        modes = []
-        for k in ks:
-            modes.append(Mode("sin", k))
-            modes.append(Mode("cos", k))
-        modes = tuple(modes)
-    else:
-        modes = tuple(Mode("sin", k) for k in ks)
+    modes = tuple(Mode(kind, k) for k in winners for kind in wide.kinds)
     return EigenSummary(domain, lam_c, modes, len(modes))
 
 

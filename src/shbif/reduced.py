@@ -79,31 +79,32 @@ class ReducedSystem:
         }
 
 
-def cubic_tensor(domain: Domain, modes) -> np.ndarray:
-    """T[j,k,l,i] = <phi_j phi_k phi_l, phi_i> by dealiased products."""
+def _symmetric_tensor(domain: Domain, modes, product, order: int) -> np.ndarray:
+    """A[j_1..j_order, i] = <product(phi_j_1, ..., phi_j_order), phi_i>.
+
+    The product is symmetric in its factors, so it is evaluated once per
+    sorted index tuple and copied to every permutation.
+    """
     fields = [eigenfunction(domain, m) for m in modes]
     m = len(fields)
-    T = np.zeros((m, m, m, m))
-    for j, k, l in itertools.combinations_with_replacement(range(m), 3):
-        w = triple(fields[j], fields[k], fields[l])
+    A = np.zeros((m,) * (order + 1))
+    for idx in itertools.combinations_with_replacement(range(m), order):
+        w = product(*(fields[j] for j in idx))
         for i in range(m):
             val = inner(w, fields[i])
-            for perm in set(itertools.permutations((j, k, l))):
-                T[perm + (i,)] = val
-    return T
+            for perm in set(itertools.permutations(idx)):
+                A[perm + (i,)] = val
+    return A
+
+
+def cubic_tensor(domain: Domain, modes) -> np.ndarray:
+    """T[j,k,l,i] = <phi_j phi_k phi_l, phi_i> by dealiased products."""
+    return _symmetric_tensor(domain, modes, triple, 3)
 
 
 def quadratic_tensor(domain: Domain, modes) -> np.ndarray:
     """Q[j,k,i] = <phi_j phi_k, phi_i>; identically zero for odd-periodic."""
-    fields = [eigenfunction(domain, m) for m in modes]
-    m = len(fields)
-    Q = np.zeros((m, m, m))
-    for j, k in itertools.combinations_with_replacement(range(m), 2):
-        w = multiply(fields[j], fields[k])
-        for i in range(m):
-            val = inner(w, fields[i])
-            Q[j, k, i] = Q[k, j, i] = val
-    return Q
+    return _symmetric_tensor(domain, modes, multiply, 2)
 
 
 def build_reduced(domain: Domain) -> ReducedSystem:

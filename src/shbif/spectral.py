@@ -318,9 +318,6 @@ class SpectralField:
         """L2 norm via Parseval."""
         return float(np.linalg.norm(self.data))
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.domain, self.data.copy())
-
     # -- arithmetic ---------------------------------------------------
     def _check(self, other: "SpectralField"):
         if self.domain != other.domain:

@@ -116,7 +116,8 @@ class _Jacobian:
     """Matrix-free J(u) with the grid of u cached across applies.
 
     gu, when given, is u's product-grid values as _residual returned them;
-    otherwise u is synthesised here.
+    otherwise u is synthesised here.  minv = 1/(|beta| + 1) is the diagonal
+    preconditioner of both MINRES and LOBPCG.
     """
 
     def __init__(self, u: SpectralField, p: Params, gu: np.ndarray | None = None):
@@ -125,6 +126,7 @@ class _Jacobian:
         self.n = len(u.data)
         self.p = p
         self.beta = growth_array(u.domain, p.lam)
+        self.minv = 1.0 / (np.abs(self.beta) + 1.0)
         self.synthesize, self.odd, self.even = _product_maps(u.domain)
         if gu is None:
             gu = self.synthesize(u.data)
@@ -144,6 +146,10 @@ class _Jacobian:
         return spla.LinearOperator((self.n, self.n), dtype=float,
                                    matvec=lambda v: self.apply(v.reshape(-1)))
 
+    def preconditioner(self) -> spla.LinearOperator:
+        return spla.LinearOperator((self.n, self.n), dtype=float,
+                                   matvec=lambda v: (self.minv * v.reshape(-1)).reshape(v.shape))
+
 
 def jacobian_apply(u: SpectralField, p: Params, v: SpectralField) -> SpectralField:
     """Directional derivative of the steady residual at u in direction v."""
@@ -151,11 +157,8 @@ def jacobian_apply(u: SpectralField, p: Params, v: SpectralField) -> SpectralFie
 
 
 def _solve_newton_system(jac: _Jacobian, rhs: np.ndarray, rtol: float) -> np.ndarray:
-    minv = 1.0 / (np.abs(jac.beta) + 1.0)
-    a = jac.as_linear_operator()
-    n = a.shape[0]
-    m = spla.LinearOperator((n, n), matvec=lambda v: minv * v, dtype=float)
-    x, _info = spla.minres(a, rhs, rtol=max(rtol, 1e-12), maxiter=max(KRYLOV_MAXITER, 2 * n), M=m)
+    x, _info = spla.minres(jac.as_linear_operator(), rhs, rtol=max(rtol, 1e-12),
+                           maxiter=max(KRYLOV_MAXITER, 2 * jac.n), M=jac.preconditioner())
     res = float(np.linalg.norm(jac.apply(x) - rhs))
     if res > 0.5 * float(np.linalg.norm(rhs)):
         raise SingularJacobian("inner solver stagnated (singular Jacobian)")
@@ -235,15 +238,11 @@ def _lobpcg(jac: _Jacobian, k: int) -> tuple[np.ndarray, np.ndarray] | None:
     the block iteration is preconditioned with 1/(|beta|+1) and started
     from _lobpcg_start.
     """
-    n = jac.n
-    minv = 1.0 / (np.abs(jac.beta) + 1.0)
-    m_op = spla.LinearOperator(
-        (n, n), matvec=lambda v: (minv * v.reshape(-1)).reshape(v.shape), dtype=float)
     x0 = _lobpcg_start(jac, k)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            evals, vecs = spla.lobpcg(jac.as_linear_operator(), x0, M=m_op,
+            evals, vecs = spla.lobpcg(jac.as_linear_operator(), x0, M=jac.preconditioner(),
                                       largest=True, tol=1e-7, maxiter=100)
     except (np.linalg.LinAlgError, ValueError):
         return None

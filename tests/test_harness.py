@@ -52,6 +52,10 @@ def test_parse_config_unknown_key():
     with pytest.raises(ParseError) as exc:
         parse_config("dim=1\nwhatever=3\n")
     assert exc.value.line == 2
+    # ETDRK2 is the only scheme, so there is no scheme key to set
+    with pytest.raises(ParseError) as exc:
+        parse_config("dim=1\nlambda=9.5\nscheme=etdrk2\n")
+    assert exc.value.line == 3
 
 
 def test_parse_config_rejects_seed_scale():
@@ -152,6 +156,14 @@ def test_decay_check_named_for_monitored_regime(tmp_path):
     rep = run_suite("decay-critical", cfg, out_dir=str(tmp_path))
     assert [c.name for c in rep.checks] == ["l2sq-within-logistic-cap"]
     assert rep.passed
+
+
+def test_decay_final_norm_provenance_names_t_end(tmp_path):
+    cfg = default_config("decay-critical")
+    cfg.t_end = 10.0
+    rep = run_suite("decay-critical", cfg, out_dir=str(tmp_path))
+    check = next(c for c in rep.checks if c.name == "final-norm-halved")
+    assert check.provenance == "algebraic decay implies |u(10)| < 0.5 |u0|"
 
 
 def test_report_json_contains_tolerance_and_provenance(tmp_path):

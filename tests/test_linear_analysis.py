@@ -119,6 +119,67 @@ def test_dirichlet_lambda_c_vs_brute_force(rng):
         assert_allclose(got, brute, rtol=0, atol=1e-12)
 
 
+def _brute_force_principal(d, shells):
+    """(lambda_c, half-lattice minimizers) of (1-|kappa|^2)^2 over a box
+    `shells` wider than the band, checked to hold every competing mode."""
+    axes = [np.arange(-(b + shells), b + shells + 1) for b in d.band]
+    k = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    k = k[k[np.arange(len(k)), np.argmax(k != 0, axis=1)] > 0]
+    h = 2 * math.pi / np.asarray(d.length)
+    vals = (1.0 - np.sum((k * h) ** 2, axis=1)) ** 2
+    lam_c = float(vals.min())
+    # a mode beating lam_c has |kappa|^2 <= 1 + sqrt(lam_c): the box holds them all
+    assert np.all((np.asarray(d.band) + shells) * h > math.sqrt(1 + math.sqrt(lam_c)))
+    return lam_c, sorted(map(tuple, k[vals <= lam_c + 1e-12 * (1 + lam_c)].tolist()))
+
+
+def _assert_principal_matches_brute_force(d, shells=12):
+    lam_c, winners = _brute_force_principal(d, shells)
+    if any(abs(ki) > b for k in winners for ki, b in zip(k, d.band)):
+        with pytest.raises(BandTooSmall):
+            principal(d)
+        return
+    s = principal(d)
+    assert_allclose(s.lambda_c, lam_c, rtol=0, atol=1e-12)
+    kinds = ("sin", "cos") if d.bc.value == "periodic" else ("sin",)
+    assert s.critical_modes == tuple(Mode(kind, k) for k in winners for kind in kinds)
+
+
+@pytest.mark.parametrize("bc", ["odd-periodic", "periodic"])
+@pytest.mark.parametrize("length,grid,band,ties,too_small", [
+    ((2 * math.pi,) * 2, 16, (4, 4), 2, False),  # (1,0) and (0,1)
+    ((2 * math.pi, 4 * math.pi), 32, (4, 8), 2, False),  # (1,0) and (0,2)
+    ((7.3, 11.9), 32, (5, 8), 2, False),  # (1,1) and (1,-1)
+    ((2 * math.pi,) * 3, 8, (2, 2, 2), 3, False),
+    ((2 * math.pi, 4 * math.pi, 6 * math.pi), 16, (3, 6, 7), 3, False),
+    # (0,5) ties (1,0) outside the band, beyond the first shell past it
+    ((2 * math.pi, 10 * math.pi), 16, (4, 2), None, True),
+    ((2 * math.pi, 2 * math.pi, 10 * math.pi), 16, (4, 2, 2), None, True),
+    # (10,5) beats (7,8), the best mode within one shell of the band
+    ((71.6307351524517, 64.29711122657748), 32, (7, 11), None, True),
+    ((60.0,) * 3, 8, (3, 3, 3), None, True),
+])
+def test_principal_vs_brute_force(bc, length, grid, band, ties, too_small):
+    d = Domain.make(len(length), length, bc, grid_n=grid, band=band)
+    _assert_principal_matches_brute_force(d)
+    if too_small:
+        with pytest.raises(BandTooSmall):
+            principal(d)
+    else:
+        assert len({m.k for m in principal(d).critical_modes}) == ties
+
+
+def test_principal_vs_brute_force_random_boxes(rng):
+    for _ in range(40):
+        dim = int(rng.integers(2, 4))
+        grid = {2: 32, 3: 16}[dim]
+        band = tuple(int(b) for b in rng.integers(1, 7, size=dim))
+        length = tuple(float(v) for v in rng.uniform(3.0, 40.0, size=dim))
+        bc = ("odd-periodic", "periodic")[int(rng.integers(0, 2))]
+        _assert_principal_matches_brute_force(Domain.make(dim, length, bc, grid_n=grid,
+                                                          band=band))
+
+
 def test_band_too_small():
     with pytest.raises(BandTooSmall):
         principal(Domain.make(1, 300.0, "dirichlet", grid_n=64, band=16))
