@@ -13,12 +13,12 @@ Stability is not limited by the stiff linear part, only accuracy by dt.
 One loop advances every trajectory.  It steps coefficient arrays of shape
 (m, n), one row per member of a batch of fields on one domain, so on
 dirichlet domains each stage is one matrix product for all members; a
-single field is the m = 1 case and steps as its (n,) vector.  Finiteness
-is checked at samples only: E >= 0 and 0 * inf = nan, so an overflowed
-entry stays non-finite until the next sample, and the steps since the
-previous sample are then replayed one at a time to find the last finite
-state.  Members leave the batch at the sample where they settle or
-overflow.
+single field is the m = 1 case and steps as its (n,) vector.  A trajectory
+is its samples.  Finiteness is checked at samples only: E >= 0 and 0 * inf
+= nan, so an entry that overflows stays non-finite until the next sample,
+which then raises NonFinite.  Each sample scores the free energy of every
+live row in one call, and members leave the batch at the sample where they
+settle.
 
 Runtime monitors check the L2 comparison bounds obtained from
 d/dt |u|^2 <= 2(lambda - lambda_c)|u|^2 - (2/|Omega|)|u|^4 in the three
@@ -43,12 +43,10 @@ from .spectral import (
     BoundaryCondition,
     Domain,
     SpectralField,
+    _grid_values,
     _product_maps,
-    cube,
-    inner,
+    cube,  # noqa: F401  test_traced_runs_repeat_exact_counts checks this binding is restored
     lattice_symbol,
-    square,
-    to_grid,
 )
 
 @dataclass(frozen=True)
@@ -153,37 +151,37 @@ def step(u: SpectralField, p: Params, dt: float) -> SpectralField:
     with np.errstate(over="ignore", invalid="ignore"):
         out = _etd_kernel(u.domain, p, dt)(u.data)
     if not np.all(np.isfinite(out)):
-        raise NonFinite("state overflowed during time step")
+        raise NonFinite("state became non-finite during time step")
     return SpectralField(u.domain, out)
 
 
-def lyapunov(u, p: Params):
+def lyapunov(u: SpectralField, p: Params) -> float:
     """Free energy F[u] = int 1/2 ((I+Lap)u)^2 - 1/2 lam u^2 - mu/3 u^3 + 1/4 u^4.
 
     The flow is the L2 gradient flow of F, so F decreases along trajectories.
-    A sequence of fields (a batch) gives the list of their energies, each
-    member evaluated on its own.
     """
-    if isinstance(u, SpectralField):
-        return _free_energy(u, p)
-    return [_free_energy(f, p) for f in u]
+    check_params(u.domain, p)
+    return float(_free_energy(u.data, u.domain, p))
 
 
-def _free_energy(u: SpectralField, p: Params) -> float:
-    d = u.domain
-    x = u.data
-    quad = 0.5 * float(lattice_symbol(d) @ (x**2)) - 0.5 * p.lam * float(x @ x)
+def _free_energy(x: np.ndarray, d: Domain, p: Params) -> np.ndarray:
+    """Free energy of each row of coefficients x: shape (..., n) -> (...)."""
+    quad = 0.5 * np.vecdot(x * x, lattice_symbol(d)) - 0.5 * p.lam * np.vecdot(x, x)
     if d.is_dirichlet:
         # int u^4 by the DST-I quadrature on the collocation grid, exact for
         # band <= grid_n / 2 and independent of the product matrices that
         # step uses, so the energy monitor also checks the stepper's cube
-        v2 = to_grid(u).values ** 2
-        quart = 0.25 * d.length[0] / (d.grid_n[0] + 1) * float(v2 @ v2)
+        v2 = _grid_values(x, d) ** 2
+        quart = 0.25 * d.length[0] / (d.grid_n[0] + 1) * np.vecdot(v2, v2)
     else:
-        quart = 0.25 * inner(cube(u), u)
+        synthesize, odd, _ = _product_maps(d)
+        g = synthesize(x)
+        quart = 0.25 * np.vecdot(odd(g * g * g), x)
     cub = 0.0
-    if p.mu != 0.0:
-        cub = -(p.mu / 3.0) * inner(square(u), u)
+    if p.mu != 0.0:  # mu > 0 requires the dirichlet condition
+        synthesize, _, even = _product_maps(d)
+        g = synthesize(x)
+        cub = -(p.mu / 3.0) * np.vecdot(even(g * g), x)
     return quad + cub + quart
 
 
@@ -220,7 +218,6 @@ class RunReport:
     lambda_c: float
     params: Params
     stopped_steady: bool = False
-    overflowed: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -232,7 +229,6 @@ class RunReport:
             "l2_final": float(self.l2_norms[-1]),
             "lyapunov_final": float(self.lyapunov_values[-1]),
             "stopped_steady": self.stopped_steady,
-            "overflowed": self.overflowed,
             "bound_check": self.bound_check.as_dict(),
         }
 
@@ -257,13 +253,10 @@ def integrate(u0, p: Params, cfg: StepperConfig):
     u0 is one field, or a sequence of fields on one domain that advance
     together as a batch and give one RunReport each.  A member stops early
     when |du/dt| stays below 1e-9 for 10 consecutive samples, and leaves the
-    batch at that sample.  Finiteness is checked at samples only: a
-    non-finite entry stays non-finite under the step, so the steps since
-    the last sample are then replayed one at a time to find each overflowed
-    member's last finite state.  Its report holds the samples before the
-    overflow, that state and `overflowed`; for a single field, NonFinite
-    propagates with that report attached.  A member's report equals its
-    solo run up to the rounding of the batched matrix products.
+    batch at that sample.  Finiteness is checked at samples only, and a
+    non-finite sample of any member raises NonFinite.  Each sample's free
+    energies are scored in one call over the live rows.  A member's report
+    equals its solo run up to the rounding of the batched matrix products.
     """
     single = isinstance(u0, SpectralField)
     members = [u0] if single else list(u0)
@@ -282,27 +275,27 @@ def integrate(u0, p: Params, cfg: StepperConfig):
         regime = "supercritical"
     vol = domain.volume
 
+    x = u0.data if single else np.stack([f.data for f in members])
+    n = x.shape[-1]
     times = [0.0]
     norms = [[f.norm()] for f in members]
-    lyap = [[v] for v in lyapunov(members, p)]
+    lyap = [[e] for e in np.reshape(_free_energy(x, domain, p), -1).tolist()]
     psi0 = [nrm[0] ** 2 for nrm in norms]
     worst = [1.0 if q > 0 else 0.0 for q in psi0]
     worst_p = list(worst)
     quiet = [0] * len(members)
     reports = [None] * len(members)
 
-    def finish(i, x, stopped=False, overflowed=False):
+    def finish(i, state, stopped=False):
         reports[i] = RunReport(
             np.asarray(times[: len(norms[i])]), np.asarray(norms[i]), np.asarray(lyap[i]),
-            BoundCheck(regime, worst[i], worst_p[i]), SpectralField(domain, x),
-            lam_c, p, stopped_steady=stopped, overflowed=overflowed,
+            BoundCheck(regime, worst[i], worst_p[i]), SpectralField(domain, state),
+            lam_c, p, stopped_steady=stopped,
         )
 
     advance = _etd_kernel(domain, p, cfg.dt)
     nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
     sample_dt = cfg.dt * cfg.sample_every
-    x = u0.data if single else np.stack([f.data for f in members])
-    n = x.shape[-1]
     live = list(range(len(members)))  # the member in each row of x
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -310,29 +303,15 @@ def integrate(u0, p: Params, cfg: StepperConfig):
             last, k0, k = x, k, min(k + cfg.sample_every, nsteps)
             for _ in range(k - k0):
                 x = advance(x)
-            rows = x.reshape(-1, n)
-            finite = np.isfinite(rows).all(axis=1)
-            if not finite.all():
-                # replay the same arithmetic step by step from the last sample
-                lost, y = {}, last
-                for _ in range(k - k0):
-                    nxt = advance(y)
-                    for r in np.flatnonzero(~np.isfinite(nxt.reshape(-1, n)).all(axis=1)):
-                        lost.setdefault(r, y.reshape(-1, n)[r])
-                    y = nxt
-                for r in np.flatnonzero(~finite):
-                    finish(live[r], lost[r], overflowed=True)
-                if single:
-                    raise NonFinite("state overflowed during time step", reports[0])
+            if not np.isfinite(x).all():
+                raise NonFinite(f"state became non-finite by t = {k * cfg.dt:g}")
             times.append(k * cfg.dt)
-            alive = np.flatnonzero(finite)
-            prev = last.reshape(-1, n)
-            energies = lyapunov([SpectralField(domain, rows[r]) for r in alive], p)
+            rows, prev = x.reshape(-1, n), last.reshape(-1, n)
+            energies = np.reshape(_free_energy(x, domain, p), -1).tolist()
             running = []
-            for r, energy in zip(alive, energies):
-                i = live[r]
+            for r, i in enumerate(live):
                 norms[i].append(float(np.linalg.norm(rows[r])))
-                lyap[i].append(energy)
+                lyap[i].append(energies[r])
                 if psi0[i] > 0:
                     ratio, ratio_p = _bound_ratios(regime, p.lam, lam_c, vol, psi0[i],
                                                    times[-1], norms[i][-1] ** 2)
@@ -352,49 +331,17 @@ def integrate(u0, p: Params, cfg: StepperConfig):
     return reports[0] if single else reports
 
 
-def basin_probe(p: Params, seeds, *, t_max: float = 400.0):
-    """Integrate the seeds to t_max and label each by where it ends.
+def basin_probe(seeds, p: Params, references: dict, *, t_max: float = 400.0) -> list[str]:
+    """Integrate the seeds to t_max and label each by the state it reaches.
 
     One integrate call advances every seed as a batch; a seed leaves it
-    when it settles.  Returns (labels, references) where references maps
-    label -> field; a seed takes the label of the reference nearest its
-    final state when that lies within 1e-4.  For mu = 0 the labels are
-    'u1'/'u2'/'trivial'; for mu > 0 they are 'attractor'/'trivial', and
-    'divergent-side' for a seed that overflowed or settled away from every
-    reference: for the quadratic equation that is the far side of the
-    stable manifold of 0 (only one local attractor exists).  Any other seed
-    is 'unresolved'.
+    when it settles.  references maps a name to a state the caller has
+    solved.  A seed takes the name of the reference nearest its final state
+    when that lies within 1e-4, and 'unresolved' otherwise.
     """
-    from . import steady as _steady  # local import: steady depends on spectral only
-
-    if not seeds:
-        return [], {}
-    domain = seeds[0].domain
-    check_params(domain, p)
-    references = {"trivial": SpectralField.zeros(domain)}
-    summ = principal(domain)
-    phi_c = SpectralField.from_modes(domain, {summ.critical_modes[0]: 1.0})
-    if p.mu == 0.0:
-        if p.lam > summ.lambda_c:
-            amp = _steady.default_seed_scale(domain, p)
-            s1 = _steady.newton(amp * phi_c, p)
-            ref1 = s1.state if inner(s1.state, phi_c) > 0 else -1.0 * s1.state
-            references["u1"] = ref1
-            references["u2"] = -1.0 * ref1
-    else:
-        amp = -(p.lam - summ.lambda_c) / (
-            p.mu * inner(square(phi_c), phi_c))
-        if amp != 0.0:
-            references["attractor"] = _steady.newton(amp * phi_c, p).state
-
     labels = []
     for rep in integrate(seeds, p, StepperConfig(2e-3, t_max, "etdrk2", 100)):
         dist, name = min(((rep.final_state - f).norm(), name)
                          for name, f in references.items())
-        if dist < 1e-4 and not rep.overflowed:
-            labels.append(name)
-        elif p.mu > 0 and (rep.overflowed or rep.stopped_steady):
-            labels.append("divergent-side")
-        else:
-            labels.append("unresolved")
-    return labels, references
+        labels.append(name if dist < 1e-4 else "unresolved")
+    return labels

@@ -18,11 +18,7 @@ class ExplicitDegeneracy(ShbifError):
 
 
 class NonFinite(ShbifError):
-    """A state overflowed or produced NaN during time stepping."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A state reached inf or NaN during time stepping."""
 
 
 class NoConvergence(ShbifError):

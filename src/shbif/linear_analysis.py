@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BandTooSmall
 from .spectral import (
+    DOMAIN_CACHE_SIZE,
     Domain,
     Mode,
     SpectralField,
@@ -82,7 +83,7 @@ class EigenSummary:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DOMAIN_CACHE_SIZE)
 def principal(domain: Domain) -> EigenSummary:
     """Minimize the quartic symbol over the retained mode lattice.
 

@@ -49,6 +49,7 @@ from .spectral import (
     multiply,
     triple,
 )
+from .steady import newton
 
 _STRUCT_TOL = 1e-10
 
@@ -265,8 +266,6 @@ def torus_points(domain: Domain, p: Params, thetas) -> list[SpectralField]:
     state sum_j r [cos(theta_j) phi_j + sin(theta_j) psi_j], refined by
     Newton to residual < 1e-10.
     """
-    from . import steady as _steady
-
     if domain.bc is not BoundaryCondition.PERIODIC:
         raise ValueError("torus states require the periodic boundary condition")
     sys = build_reduced(domain)
@@ -292,5 +291,5 @@ def torus_points(domain: Domain, p: Params, thetas) -> list[SpectralField]:
             coeffs[pair["sin"]] = r * math.cos(t)
             coeffs[pair["cos"]] = r * math.sin(t)
         u0 = SpectralField.from_modes(domain, coeffs)
-        out.append(_steady.newton(u0, p).state)
+        out.append(newton(u0, p).state)
     return out

@@ -61,6 +61,9 @@ import scipy.fft as sfft
 from .errors import DomainMismatch
 
 _DEFAULT_GRID = {1: 512, 2: 256, 3: 128}
+# entries of every cache keyed by domains, so a process that visits many
+# boxes keeps a bounded set; a census touches 3 domains per box
+DOMAIN_CACHE_SIZE = 32
 
 
 class BoundaryCondition(str, Enum):
@@ -222,7 +225,7 @@ class _Lattice:
         self.mode_pos = {tuple(kv): j for j, kv in enumerate(kvecs.tolist())}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DOMAIN_CACHE_SIZE)
 def _lattice(domain: Domain) -> _Lattice:
     return _Lattice(domain)
 
@@ -232,7 +235,7 @@ def lattice_symbol(domain: Domain) -> np.ndarray:
     return _lattice(domain).symbol
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DOMAIN_CACHE_SIZE)
 def _shared_slots(src: Domain, dst: Domain) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions (in src, in dst) of the modes both bands retain."""
     a, b = _lattice(src), _lattice(dst)
@@ -372,7 +375,7 @@ def grid_coords(domain: Domain) -> list[np.ndarray]:
 # transforms
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DOMAIN_CACHE_SIZE)
 def _spectrum_slots(domain: Domain, sizes: tuple[int, ...]):
     """Where the flat vector lives in a pruned half-spectrum on `sizes`.
 
@@ -480,15 +483,18 @@ def _fourier_analysis(values: np.ndarray, domain: Domain, sizes) -> np.ndarray:
     return minus_imag.reshape(*lead, -1)[..., cell] / -coef
 
 
+def _grid_values(x: np.ndarray, domain: Domain) -> np.ndarray:
+    """Values on the collocation grid of coefficients x of shape (..., n)."""
+    if domain.is_dirichlet:
+        a = np.zeros((*x.shape[:-1], domain.grid_n[0]))
+        a[..., : domain.band[0]] = x * _lattice(domain).scale
+        return sfft.dst(a, type=1) / 2.0
+    return _fourier_synthesis(x, domain, domain.grid_n)
+
+
 def to_grid(f: SpectralField) -> GridField:
     """Evaluate the field on the collocation grid."""
-    d = f.domain
-    if d.is_dirichlet:
-        N, B = d.grid_n[0], d.band[0]
-        a = np.zeros(N)
-        a[:B] = f.data * _lattice(d).scale
-        return GridField(d, sfft.dst(a, type=1) / 2.0)
-    return GridField(d, _fourier_synthesis(f.data, d, d.grid_n))
+    return GridField(f.domain, _grid_values(f.data, f.domain))
 
 
 def to_spectral(g: GridField) -> SpectralField:
@@ -516,7 +522,7 @@ def _sine_projection_matrix(band: int, length: float) -> np.ndarray:
     return R
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DOMAIN_CACHE_SIZE)
 def _dirichlet_matrices(band: int, length: float):
     """(S, odd, even) for dirichlet products on P = 2 band DST-I points.
 
@@ -540,7 +546,7 @@ def _dirichlet_matrices(band: int, length: float):
     return S, odd, even
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DOMAIN_CACHE_SIZE)
 def _product_maps(domain: Domain):
     """(synthesize, project_odd, project_even) between band coefficients and
     values on the product grid, whose size depends on the band alone.

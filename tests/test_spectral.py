@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
-from shbif import oracles
+from shbif import linear_analysis, oracles, spectral
 from shbif.dynamics import Params
 from shbif.errors import DomainMismatch
 from shbif.harness import write_csv_1d, write_pgm_2d
@@ -466,3 +467,23 @@ def test_point_odd_products_match_full_grid_reference(domain, rng):
     ]
     for got, want in pairs:
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_domain_caches_stay_bounded(rng):
+    # a sweep over many boxes must not keep every box's lattice, maps and spectrum
+    for i in range(100):
+        length = float(rng.uniform(0.8, 1.2))
+        if i % 2:
+            d = Domain.make(1, length * math.pi, "dirichlet", grid_n=32, band=8)
+        else:
+            d = Domain.make(2, length * 2 * math.pi, "periodic", grid_n=16, band=4)
+        u = random_field(d, rng)
+        cube(u)
+        to_grid(u)
+        resample(u.data, d, replace(d, band=tuple(b - 1 for b in d.band)))
+        linear_analysis.principal(d)
+    caches = [spectral._lattice, spectral._shared_slots, spectral._spectrum_slots,
+              spectral._dirichlet_matrices, spectral._product_maps,
+              linear_analysis.principal]
+    for cache in caches:
+        assert 0 < cache.cache_info().currsize <= spectral.DOMAIN_CACHE_SIZE
