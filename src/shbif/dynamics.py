@@ -331,8 +331,11 @@ def integrate(u0, p: Params, cfg: StepperConfig):
     return reports[0] if single else reports
 
 
-def basin_probe(seeds, p: Params, references: dict, *, t_max: float = 400.0) -> list[str]:
-    """Integrate the seeds to t_max and label each by the state it reaches.
+BASIN_T_MAX = 400.0  # basin_probe integrates every seed to this time at most
+
+
+def basin_probe(seeds, p: Params, references: dict) -> list[str]:
+    """Integrate the seeds to BASIN_T_MAX and label each by the state it reaches.
 
     One integrate call advances every seed as a batch; a seed leaves it
     when it settles.  references maps a name to a state the caller has
@@ -340,7 +343,7 @@ def basin_probe(seeds, p: Params, references: dict, *, t_max: float = 400.0) -> 
     when that lies within 1e-4, and 'unresolved' otherwise.
     """
     labels = []
-    for rep in integrate(seeds, p, StepperConfig(2e-3, t_max, "etdrk2", 100)):
+    for rep in integrate(seeds, p, StepperConfig(2e-3, BASIN_T_MAX, sample_every=100)):
         dist, name = min(((rep.final_state - f).norm(), name)
                          for name, f in references.items())
         labels.append(name if dist < 1e-4 else "unresolved")

@@ -58,6 +58,8 @@ from .spectral import (
 )
 
 NEWTON_TOL = 1e-11
+NEWTON_MAX_ITER = 50  # Newton steps before NoConvergence
+N_EIGS = 10  # leading eigenvalues stability() reports
 POS_TOL = 1e-8
 NEUTRAL_TOL = 1e-6
 DEDUP_TOL = 1e-6
@@ -165,14 +167,16 @@ def _solve_newton_system(jac: _Jacobian, rhs: np.ndarray, rtol: float) -> np.nda
     return x
 
 
-def newton(u0: SpectralField, p: Params, *, tol: float = NEWTON_TOL,
-           max_iter: int = 50) -> SteadyState:
-    """Newton iteration from u0; raises NoConvergence / SingularJacobian."""
+def newton(u0: SpectralField, p: Params) -> SteadyState:
+    """Newton iteration from u0 to a residual norm of NEWTON_TOL.
+
+    Raises NoConvergence after NEWTON_MAX_ITER steps, or SingularJacobian.
+    """
     u = u0
     f, gu = _residual(u, p)
     nf = float(np.linalg.norm(f))
-    for _ in range(max_iter):
-        if nf <= tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if nf <= NEWTON_TOL:
             return SteadyState(u, nf, p.lam, p.mu)
         if not np.isfinite(nf) or nf > 1e8:
             raise NoConvergence(f"residual diverged ({nf:.3g})")
@@ -201,9 +205,9 @@ def newton(u0: SpectralField, p: Params, *, tol: float = NEWTON_TOL,
                 return SteadyState(SpectralField.zeros(u.domain), 0.0, p.lam, p.mu)
             raise NoConvergence("line search could not reduce the residual")
         u, f, gu, nf = u_try, f_try, gu_try, nf_try
-    if nf <= tol:
+    if nf <= NEWTON_TOL:
         return SteadyState(u, nf, p.lam, p.mu)
-    raise NoConvergence(f"no convergence after {max_iter} Newton steps (|F|={nf:.3g})")
+    raise NoConvergence(f"no convergence after {NEWTON_MAX_ITER} Newton steps (|F|={nf:.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +281,16 @@ def _weyl_bound(u: SpectralField, mu: float) -> float:
     return 3.0 * sup * sup + 2.0 * abs(mu) * sup
 
 
-def stability(s: SteadyState, *, n_eigs: int = 10) -> SteadyState:
-    """Fill leading Jacobian eigenvalues and the Morse index.
+def stability(s: SteadyState) -> SteadyState:
+    """Fill the N_EIGS leading Jacobian eigenvalues and the Morse index.
 
     For periodic domains, eigenvalues with |e| < 1e-6 are reported as neutral
     translation modes and excluded from the Morse index.  When _weyl_bound
     puts |J(u) - diag(beta)| below WEYL_TOL, as at the trivial state, Weyl's
     inequality places each eigenvalue within that bound of the sorted beta,
     which are taken as the eigenvalues with no eigensolver run.  Otherwise
-    small systems are diagonalised densely; larger ones run LOBPCG on k
-    leading eigenvalues, doubling k up to a cap of 64 (and n - 2) until one
+    small systems are diagonalised densely; larger ones run LOBPCG on k =
+    N_EIGS leading eigenvalues, doubling k up to a cap of 64 (and n - 2) until one
     lies below -1e-6, and warn when the cap stops them: the Morse index may
     be truncated.  LOBPCG starts from the leading Ritz vectors of the
     Jacobian on coarse_domain and still runs to its tolerance on the full
@@ -303,7 +307,7 @@ def stability(s: SteadyState, *, n_eigs: int = 10) -> SteadyState:
             evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
         else:
             cap = min(64, n - 2)
-            k = min(max(n_eigs, 8), cap)
+            k = min(N_EIGS, cap)
             while True:
                 evals = np.sort(_leading_eigs_lobpcg(jac, k)[0])
                 if evals[0] < -NEUTRAL_TOL:
@@ -317,7 +321,7 @@ def stability(s: SteadyState, *, n_eigs: int = 10) -> SteadyState:
     neutral = tuple(float(e) for e in evals if periodic and abs(e) < NEUTRAL_TOL)
     effective = [float(e) for e in evals if not (periodic and abs(e) < NEUTRAL_TOL)]
     morse = sum(1 for e in effective if e > POS_TOL)
-    leading = tuple(sorted((float(e) for e in evals), reverse=True)[:n_eigs])
+    leading = tuple(sorted((float(e) for e in evals), reverse=True)[:N_EIGS])
     return replace(s, leading_eigs=leading, neutral_eigs=neutral, morse_index=morse)
 
 

@@ -266,4 +266,4 @@ def test_basin_probe_gsh_labels():
     references = {"attractor": newton(amp * phi, p).state, "trivial": SpectralField.zeros(D)}
     # 0.2 phi1 crosses the stable manifold of 0 and settles on no reference
     seeds = [-0.05 * phi, 0.2 * phi]
-    assert basin_probe(seeds, p, references, t_max=120.0) == ["attractor", "unresolved"]
+    assert basin_probe(seeds, p, references) == ["attractor", "unresolved"]

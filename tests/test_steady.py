@@ -132,9 +132,10 @@ def test_newton_gsh_amplitudes():
     assert abs(s2.state.coeff(1) - x_exact) <= 1e-2 * x_exact
 
 
-def test_newton_no_convergence():
+def test_newton_no_convergence(monkeypatch):
+    monkeypatch.setattr(steady, "NEWTON_MAX_ITER", 2)
     with pytest.raises(NoConvergence):
-        newton(5.0 * eigenfunction(D, 1), P95, max_iter=2)
+        newton(5.0 * eigenfunction(D, 1), P95)
 
 
 def test_stability_trivial_state():
