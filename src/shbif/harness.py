@@ -293,8 +293,10 @@ def _scenario_decay(cfg: ExperimentConfig, out: Path):
     name, tol, provenance = _DECAY_CHECKS[regime]
     worst = max(rep.bound_check.worst_ratio for rep in reports)
     worst_p = max(rep.bound_check.worst_ratio_printed for rep in reports)
+    after = max(rep.bound_check.worst_ratio_after_start for rep in reports)
     checks = [CheckResult(name, 1.0, worst, tol, worst <= 1.0 + tol, provenance,
-                          f"printed-constant variant ratio {worst_p:.6g}")]
+                          f"printed-constant variant ratio {worst_p:.6g}; "
+                          f"ratio after t = 0 {after:.6g}")]
     if regime == "critical":
         worst_final = max(rep.l2_norms[-1] / rep.l2_norms[0] for rep in reports)
         checks.append(CheckResult(

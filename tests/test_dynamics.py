@@ -1,6 +1,7 @@
 """Time stepping, decay-bound monitors, Lyapunov functional, basins."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,21 @@ def test_integrate_subcritical_bound(rng):
     assert rep.bound_check.regime == "subcritical"
     assert rep.bound_check.worst_ratio <= 1.0 + 1e-6
     assert not rep.bound_check.violated
+
+
+def test_bound_check_reports_margin_after_start(rng):
+    # worst_ratio is floored at its t = 0 value; the margin below it is
+    # the largest psi / bound over the samples after t = 0
+    p = Params(8.0)
+    u0 = random_field(D, rng, 1.0, unit_norm=True)
+    rep = integrate(u0, p, StepperConfig(dt=1e-3, t_end=2.0, sample_every=100))
+    bc = rep.bound_check
+    psi = rep.l2_norms**2
+    bound = psi[0] * np.exp(2.0 * (p.lam - 9.0) * rep.times)
+    assert bc.worst_ratio == 1.0
+    assert bc.worst_ratio_after_start == pytest.approx(np.max(psi[1:] / bound[1:]), rel=1e-12)
+    assert 0.0 < bc.worst_ratio_after_start < 1.0
+    assert bc.as_dict()["worst_ratio_after_start"] == bc.worst_ratio_after_start
 
 
 def test_integrate_supercritical_bound(rng):
@@ -267,3 +283,50 @@ def test_basin_probe_gsh_labels():
     # 0.2 phi1 crosses the stable manifold of 0 and settles on no reference
     seeds = [-0.05 * phi, 0.2 * phi]
     assert basin_probe(seeds, p, references) == ["attractor", "unresolved"]
+
+
+def _reference_etdrk2(x, p, dt, steps):
+    """ETDRK2 on the rows of x from the public products and the phi weights."""
+    E, f1, f2 = dynamics._weights(D, p.lam, dt)
+
+    def nonlinear(y):
+        rows = [SpectralField(D, r) for r in np.reshape(y, (-1, y.shape[-1]))]
+        out = [p.mu * square(f).data - cube(f).data for f in rows]
+        return np.reshape(out, y.shape)
+
+    for _ in range(steps):
+        nx = nonlinear(x)
+        a = E * x + f1 * nx
+        x = a + f2 * (nonlinear(a) - nx)
+    return x
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_dirichlet_advance_matches_reference(mu, batch, rng):
+    p, dt = Params(9.5, mu), 1e-3
+    fields = [random_field(D, rng, 1.0, unit_norm=True) for _ in range(batch or 1)]
+    x = fields[0].data if batch is None else np.stack([f.data for f in fields])
+    x_in = x.copy()
+    out = dynamics._etd_kernel(_product_maps(D), D, p, dt)(x, 500)
+    ref = _reference_etdrk2(x, p, dt, 500)
+    np.testing.assert_array_equal(x, x_in)
+    assert out.shape == x.shape
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_dirichlet_advance_memory_flat_in_steps(rng):
+    # the step loop runs on buffers made once per call: the peak does not
+    # grow with the number of steps
+    advance = dynamics._etd_kernel(_product_maps(D), D, Params(9.5, 0.5), 1e-3)
+    for x in (random_field(D, rng, 1.0).data, rng.standard_normal((3, D.band[0])) * 0.1):
+        advance(x, 1)
+        peaks = []
+        for steps in (20, 2000):
+            tracemalloc.start()
+            try:
+                advance(x, steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4096

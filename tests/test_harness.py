@@ -159,6 +159,15 @@ def test_decay_series_csv_parses(tmp_path):
     assert all(len(r) == 3 and math.isfinite(r[2]) for r in rows)
 
 
+def test_decay_detail_reports_ratio_after_start(tmp_path):
+    # the check reads 1 by its floor; the detail gives the margin under it
+    rep = run_suite("decay-subcritical", out_dir=str(tmp_path))
+    check = rep.checks[0]
+    assert check.observed == 1.0
+    after = float(check.detail.rsplit("ratio after t = 0 ", 1)[1])
+    assert 0.0 < after < 1.0
+
+
 def test_decay_check_named_for_monitored_regime(tmp_path):
     # above lambda_c integrate monitors the logistic cap, whatever the id says
     cfg = default_config("decay-critical")
