@@ -10,16 +10,17 @@ differencing scheme ETDRK2 with the phi-function weights of Cox & Matthews
 with E = exp(dt beta), phi1(z) = (e^z - 1)/z, phi2(z) = (e^z - 1 - z)/z^2.
 Stability is not limited by the stiff linear part, only accuracy by dt.
 
-One loop advances every trajectory.  It steps coefficient arrays of shape
-(m, n), one row per member of a batch of fields on one domain, so on
-dirichlet domains a step is four matrix products for all members, with the
-phi weights folded into the projection matrices, run on buffers made once
-per sample interval; a single field is the m = 1 case and steps as its
-(n,) vector.  A trajectory is its samples.  Finiteness is checked at
-samples only: E >= 0 and 0 * inf = nan, so an entry that overflows stays
-non-finite until the next sample, which then raises NonFinite.  Each
-sample scores the free energy and the norms of every live row in one call
-each, and members leave the batch at the sample where they settle.
+One step loop advances every trajectory on every boundary condition.  It
+steps coefficient arrays of shape (m, n), one row per member of a batch of
+fields on one domain; a single field is the m = 1 case and steps as its
+(n,) vector.  On dirichlet domains a step is four matrix products for all
+members, the phi weights folded into the projection matrices, on buffers
+made once per sample interval.  Finiteness is checked at samples only:
+E >= 0 and 0 * inf = nan, so an entry that overflows stays non-finite
+until the next sample, which then raises NonFinite.  A trajectory is its
+samples: the norms and free energies of the live rows go into (members,
+samples) arrays, members leave the batch at the sample where they settle,
+and the bound monitors are computed from a member's norms afterwards.
 
 Runtime monitors check the L2 comparison bounds obtained from
 d/dt |u|^2 <= 2(lambda - lambda_c)|u|^2 - (2/|Omega|)|u|^4 in the three
@@ -32,7 +33,6 @@ identity and are the ones tested.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -113,80 +113,78 @@ def _etd_kernel(maps, domain: Domain, p: Params, dt: float):
     """advance(x, steps): ETDRK2 steps on coefficient arrays of shape (..., n).
 
     maps is _product_maps(domain) and a key of the cache, so a replaced map
-    gets its own kernel.  Leading axes of x are a batch.  The stages use
-    C(x) = -N(x) = P(g^3) - mu P(g^2) with the weights -f1 and -f2.  On
-    dirichlet domains the maps, applied to identities, give matrices: x St
-    is the product-grid values g, and v Q projects v = [g^3 | g^2 if mu]
-    with Q = [odd; -mu even].  With the weights folded in, F1 = Q (-f1) and
-    F2 = Q (-f2),
+    gets its own kernel.  Leading axes of x are a batch.  One loop serves
+    every boundary condition, with C = -N = P(g^3) - mu P(g^2) and W = -f:
 
-        a = E x + v(x) F1,  x+ = a + (v(a) - v(x)) F2
+        a = E x + project(v(x), W1),  x+ = a + project(v(a) - v(x), W2)
 
-    runs on buffers made once per call: a step is twelve numpy calls
-    (fourteen when mu > 0), four of them matrix products, and allocates
-    nothing.  E stays elementwise: as a diagonal block of F1 it would
-    add n^2 flops per member, more than the two calls it saves once a batch
-    grows.  Fourier domains step through the maps.  The input is never
-    written.  Overflow is not checked here; callers test the result with
-    isfinite under np.errstate.
+    The boundary condition chooses only how the product-grid values v are
+    formed and how they are projected; the stage difference is taken on v.
+    Dirichlet maps, applied to identities, give matrices: g = x St,
+    v = [g^3 | g^2 if mu], and project is a matrix product with the weights
+    folded into Q = [odd; -mu even].  A step is twelve numpy calls (fourteen
+    when mu > 0), four of them matrix products, on buffers made once per
+    call, and allocates nothing.  E stays elementwise: as a diagonal block
+    of W1 it would add n^2 flops per member, more than the two calls it
+    saves once a batch grows.  Fourier domains cube synthesize(y) and
+    project by odd(v) W: two synthesize, two odd and ten ufunc calls a step.
+    The input is never written.  Overflow is not checked here; callers test
+    the result with isfinite under np.errstate.
     """
     E, f1, f2 = _weights(domain, p.lam, dt)
-    nf1, nf2 = -f1, -f2
     synthesize, odd, even = maps
     mu = p.mu
+    # bound once and given their output positionally: the loop is call-bound
+    dot, mul, add, sub = np.dot, np.multiply, np.add, np.subtract
     if domain.is_dirichlet:
         St = synthesize(np.eye(E.size))  # x St = values on the P product points
         P = St.shape[1]
         Q = odd(np.eye(P))
         if mu != 0.0:
             Q = np.vstack([Q, -mu * even(np.eye(P))])
-        F1, F2 = Q * nf1, Q * nf2
-        # bound once and given their output positionally: the loop is call-bound
-        dot, mul, add, sub = np.dot, np.multiply, np.add, np.subtract
+        W1, W2, project = Q * -f1, Q * -f2, dot
 
-        def advance(x, steps):
-            x = x.copy()
-            g, a, t = np.empty((*x.shape[:-1], P)), np.empty_like(x), np.empty_like(x)
-            vx = np.empty((*x.shape[:-1], Q.shape[0]))
-            va = np.empty_like(vx)
-            cx, sx, ca, sa = vx[..., :P], vx[..., P:], va[..., :P], va[..., P:]
-            for _ in range(steps):  # the last argument of each call is its output
-                dot(x, St, g)
-                mul(g, g, cx)
+        def stage(lead):  # v(y) into a buffer of its own
+            g, v = np.empty((*lead, P)), np.empty((*lead, Q.shape[0]))
+            c, s = v[..., :P], v[..., P:]
+
+            def values(y):
+                dot(y, St, g)
+                mul(g, g, c)
                 if mu != 0.0:
-                    mul(g, g, sx)
-                mul(cx, g, cx)
-                dot(vx, F1, a)
-                mul(x, E, t)
-                add(a, t, a)
-                dot(a, St, g)
-                mul(g, g, ca)
-                if mu != 0.0:
-                    mul(g, g, sa)
-                mul(ca, g, ca)
-                sub(va, vx, va)
-                dot(va, F2, t)
-                add(a, t, x)
-            return x
+                    mul(g, g, s)
+                mul(c, g, c)
+                return v
 
-        return advance
+            return values
+    else:  # mu > 0 requires the dirichlet condition
+        W1, W2 = -f1, -f2
 
-    def minus_nonlinear(x):  # mu > 0 requires the dirichlet condition
-        g = synthesize(x)
-        c = g * g
-        c *= g
-        return odd(c)
+        def project(v, w, out):
+            mul(odd(v), w, out)
+
+        def values(y):
+            g = synthesize(y)
+            c = g * g
+            c *= g
+            return c
+
+        def stage(lead):
+            return values
 
     def advance(x, steps):
-        for _ in range(steps):
-            cx = minus_nonlinear(x)
-            a = E * x
-            a += nf1 * cx
-            ca = minus_nonlinear(a)
-            ca -= cx
-            ca *= nf2
-            a += ca
-            x = a
+        x = x.copy()
+        a, t = np.empty_like(x), np.empty_like(x)
+        vx_of, va_of = stage(x.shape[:-1]), stage(x.shape[:-1])
+        for _ in range(steps):  # the last argument of each call is its output
+            vx = vx_of(x)
+            project(vx, W1, a)
+            mul(x, E, t)
+            add(a, t, a)
+            va = va_of(a)
+            sub(va, vx, va)
+            project(va, W2, t)
+            add(a, t, x)
         return x
 
     return advance
@@ -287,18 +285,29 @@ class RunReport:
         }
 
 
-def _bound_ratios(regime, lam, lam_c, vol, psi0, t, psi):
-    """(derived ratio, printed-constant ratio) of observed vs bound at time t."""
-    if regime == "subcritical":
-        b = psi0 * math.exp(2.0 * (lam - lam_c) * t)
-        return psi / b, psi / b
-    if regime == "critical":
-        b = psi0 / ((2.0 / vol) * psi0 * t + 1.0)
-        bp = psi0 / (2.0 * vol * psi0 * t + 1.0)
-        return psi / b, psi / bp
-    b = max(psi0, (lam - lam_c) * vol)
-    bp = max(psi0, (lam - lam_c) / vol)
-    return psi / b, psi / bp
+def _bound_check(times, norms, lam: float, lam_c: float, volume: float) -> BoundCheck:
+    """Observed psi = |u|^2 against the decay bound of lam's regime at every sample.
+
+    Ratios are taken at t > 0 only; the bound starts at psi0, so t = 0 adds
+    ratio 1.  psi0 = 0 gives zeros.  The printed-constant ratio differs from
+    the derived one in the critical and supercritical regimes only.
+    """
+    psi = norms**2
+    psi0, t, psi = psi[0], times[1:], psi[1:]
+    if abs(lam - lam_c) < 1e-12:
+        regime = "critical"
+        bounds = (psi0 / ((2.0 / volume) * psi0 * t + 1.0),
+                  psi0 / (2.0 * volume * psi0 * t + 1.0))
+    elif lam < lam_c:
+        regime = "subcritical"
+        bounds = (psi0 * np.exp(2.0 * (lam - lam_c) * t),) * 2
+    else:
+        regime = "supercritical"
+        bounds = (max(psi0, (lam - lam_c) * volume), max(psi0, (lam - lam_c) / volume))
+    if psi0 == 0:
+        return BoundCheck(regime, 0.0, 0.0, 0.0)
+    after, after_p = (float(np.max(psi / b, initial=0.0)) for b in bounds)
+    return BoundCheck(regime, max(1.0, after), max(1.0, after_p), after)
 
 
 def integrate(u0, p: Params, cfg: StepperConfig):
@@ -308,9 +317,11 @@ def integrate(u0, p: Params, cfg: StepperConfig):
     together as a batch and give one RunReport each.  A member stops early
     when |du/dt| stays below 1e-9 for 10 consecutive samples, and leaves the
     batch at that sample.  Finiteness is checked at samples only, and a
-    non-finite sample of any member raises NonFinite.  Each sample's free
-    energies are scored in one call over the live rows.  A member's report
-    equals its solo run up to the rounding of the batched matrix products.
+    non-finite sample of any member raises NonFinite.  Norms and free
+    energies go into (members, samples) arrays, each sample's in one call
+    over the live rows, and the bound monitor reads a member's norms once
+    its run is over.  A member's report equals its solo run up to the
+    rounding of the batched matrix products.
     """
     single = isinstance(u0, SpectralField)
     members = [u0] if single else list(u0)
@@ -321,70 +332,48 @@ def integrate(u0, p: Params, cfg: StepperConfig):
         members[0]._check(f)
     check_params(domain, p)
     lam_c = principal(domain).lambda_c
-    if abs(p.lam - lam_c) < 1e-12:
-        regime = "critical"
-    elif p.lam < lam_c:
-        regime = "subcritical"
-    else:
-        regime = "supercritical"
-    vol = domain.volume
 
     x = u0.data if single else np.stack([f.data for f in members])
     n = x.shape[-1]
-    times = [0.0]
-    norms = [[f.norm()] for f in members]
-    lyap = [[e] for e in np.reshape(_free_energy(x, domain, p), -1).tolist()]
-    psi0 = [nrm[0] ** 2 for nrm in norms]
-    worst = [1.0 if q > 0 else 0.0 for q in psi0]
-    worst_p = list(worst)
-    after_start = [0.0] * len(members)
-    quiet = [0] * len(members)
-    reports = [None] * len(members)
-
-    def finish(i, state, stopped=False):
-        reports[i] = RunReport(
-            np.asarray(times[: len(norms[i])]), np.asarray(norms[i]), np.asarray(lyap[i]),
-            BoundCheck(regime, worst[i], worst_p[i], after_start[i]),
-            SpectralField(domain, state), lam_c, p, stopped_steady=stopped,
-        )
+    nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
+    ks = [*range(0, nsteps, cfg.sample_every), nsteps]  # step count at each sample
+    times = np.array(ks) * cfg.dt
+    norms = np.empty((len(members), len(ks)))
+    energies = np.empty_like(norms)
+    norms[:, 0] = [f.norm() for f in members]
+    energies[:, 0] = np.reshape(_free_energy(x, domain, p), -1)
+    ends = np.full(len(members), len(ks))  # samples each member took
+    stopped = np.zeros(len(members), dtype=bool)
+    final = np.empty((len(members), n))
+    live = np.arange(len(members))  # the member in each row of x
+    quiet = np.zeros(len(members), dtype=int)  # quiet samples in a row, per row of x
 
     advance = _etd_kernel(_product_maps(domain), domain, p, cfg.dt)
-    nsteps = max(1, int(round(cfg.t_end / cfg.dt)))
     sample_dt = cfg.dt * cfg.sample_every
-    live = list(range(len(members)))  # the member in each row of x
-    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while live and k < nsteps:
-            last, k0, k = x, k, min(k + cfg.sample_every, nsteps)
-            x = advance(x, k - k0)
+        for s in range(1, len(ks)):
+            if not live.size:
+                break
+            last, x = x, advance(x, ks[s] - ks[s - 1])
             if not np.isfinite(x).all():
-                raise NonFinite(f"state became non-finite by t = {k * cfg.dt:g}")
-            times.append(k * cfg.dt)
-            rows, prev = x.reshape(-1, n), last.reshape(-1, n)
-            energies = np.reshape(_free_energy(x, domain, p), -1).tolist()
-            row_norms = np.sqrt(np.vecdot(rows, rows)).tolist()
-            change = rows - prev
-            dudts = (np.sqrt(np.vecdot(change, change)) / sample_dt).tolist()
-            running = []
-            for r, i in enumerate(live):
-                norms[i].append(row_norms[r])
-                lyap[i].append(energies[r])
-                if psi0[i] > 0:
-                    ratio, ratio_p = _bound_ratios(regime, p.lam, lam_c, vol, psi0[i],
-                                                   times[-1], norms[i][-1] ** 2)
-                    worst[i] = max(worst[i], ratio)
-                    after_start[i] = max(after_start[i], ratio)
-                    worst_p[i] = max(worst_p[i], ratio_p)
-                quiet[i] = quiet[i] + 1 if dudts[r] < 1e-9 else 0
-                if quiet[i] >= 10:
-                    finish(i, rows[r], stopped=True)
-                else:
-                    running.append(r)
-            if len(running) < len(live):
-                x = rows[running]
-                live = [live[r] for r in running]
-    for r, i in enumerate(live):
-        finish(i, x.reshape(-1, n)[r])
+                raise NonFinite(f"state became non-finite by t = {times[s]:g}")
+            rows, change = x.reshape(-1, n), (x - last).reshape(-1, n)
+            norms[live, s] = np.sqrt(np.vecdot(rows, rows))
+            energies[live, s] = np.reshape(_free_energy(x, domain, p), -1)
+            still = np.sqrt(np.vecdot(change, change)) / sample_dt < 1e-9
+            quiet = np.where(still, quiet + 1, 0)
+            if quiet.max() >= 10:
+                settled = quiet >= 10
+                done = live[settled]
+                final[done], ends[done], stopped[done] = rows[settled], s + 1, True
+                x, live, quiet = rows[~settled], live[~settled], quiet[~settled]
+    final[live] = x.reshape(-1, n)
+    reports = [
+        RunReport(times[:e], norms[i, :e], energies[i, :e],
+                  _bound_check(times[:e], norms[i, :e], p.lam, lam_c, domain.volume),
+                  SpectralField(domain, final[i]), lam_c, p, stopped_steady=bool(stopped[i]))
+        for i, e in enumerate(ends)
+    ]
     return reports[0] if single else reports
 
 

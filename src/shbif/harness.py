@@ -269,7 +269,7 @@ def write_pgm_2d(g: GridField, path) -> str:
 # integrate's bound regime -> (check name, tolerance, provenance of its bound)
 _DECAY_CHECKS = {
     "subcritical": ("l2-within-exponential-envelope", 1e-6,
-                    "comparison bound |u| <= exp((lambda-lambda_c) t) |u0|"),
+                    "comparison bound psi <= exp(2 (lambda-lambda_c) t) psi0"),
     "critical": ("l2sq-within-algebraic-envelope", 1e-9,
                  "comparison bound psi <= psi0 / ((2/V) psi0 t + 1), derived constant"),
     "supercritical": ("l2sq-within-logistic-cap", 1e-9,

@@ -375,8 +375,7 @@ def _newton_task(task):
 
 
 def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0,
-             jobs: int = 1, dedup: str = "symmetry",
-             with_stability: bool = True) -> list[SteadyState]:
+             jobs: int = 1, dedup: str = "symmetry") -> list[SteadyState]:
     """Newton from random critical-mode seeds, deduplicated.
 
     Seeds are random combinations of the critical eigenfunctions plus small
@@ -387,8 +386,8 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
     axis and more), and its zero-padded result is solved again on the full
     band; only that full-band solve accepts a state (residual <=
     NEWTON_TOL), and a coarse failure fails the seed.  This pays off when
-    the states are resolved within the coarse band, as near onset.
-    With jobs > 1 one fork pool of that size runs the Newton solves and
+    the states are resolved within the coarse band, as near onset.  Every
+    kept state is returned with its stability.  With jobs > 1 one fork pool of that size runs the Newton solves and
     then the stability calls.
     """
     check_params(domain, p)
@@ -414,8 +413,7 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
         for s in states:
             if all(orbit_distance(s.state, k.state, p, dedup) >= DEDUP_TOL for k in kept):
                 kept.append(s)
-        if with_stability:
-            kept = list(run(stability, kept))
+        kept = list(run(stability, kept))
     return kept
 
 

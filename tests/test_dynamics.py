@@ -115,6 +115,50 @@ def test_bound_check_reports_margin_after_start(rng):
     assert bc.as_dict()["worst_ratio_after_start"] == bc.worst_ratio_after_start
 
 
+# _bound_check on hand-built series: psi = r * bound at t > 0, so the
+# derived ratios are r by construction
+LAM_C, T = 9.0, np.array([0.0, 0.5, 1.0, 2.0])
+
+
+def _closed_form_bounds(regime, lam, psi0, vol):
+    """(derived, printed-constant) bound on psi at the times T."""
+    if regime == "subcritical":
+        b = psi0 * np.exp(2.0 * (lam - LAM_C) * T)
+        return b, b
+    if regime == "critical":
+        return psi0 / (2.0 / vol * psi0 * T + 1.0), psi0 / (2.0 * vol * psi0 * T + 1.0)
+    return (np.full(T.shape, max(psi0, (lam - LAM_C) * vol)),
+            np.full(T.shape, max(psi0, (lam - LAM_C) / vol)))
+
+
+@pytest.mark.parametrize("lam,regime", [(8.0, "subcritical"), (9.0, "critical"),
+                                        (9.5, "supercritical")])
+@pytest.mark.parametrize("r", [[1.0, 0.5, 0.9, 0.7], [1.0, 0.5, 1.2, 0.7]],
+                         ids=["holds", "broken"])
+def test_bound_check_matches_closed_forms(lam, regime, r):
+    psi0, vol = 0.25, D.volume  # below both supercritical caps
+    derived, printed = _closed_form_bounds(regime, lam, psi0, vol)
+    psi = np.asarray(r) * derived
+    psi[0] = psi0
+    bc = dynamics._bound_check(T, np.sqrt(psi), lam, LAM_C, vol)
+    assert bc.regime == regime
+    assert bc.worst_ratio_after_start == pytest.approx(max(r[1:]), rel=1e-12)
+    assert bc.worst_ratio == pytest.approx(max(r), rel=1e-12)
+    expected_p = max(1.0, np.max(psi[1:] / printed[1:]))
+    assert bc.worst_ratio_printed == pytest.approx(expected_p, rel=1e-12)
+    if regime != "subcritical":
+        assert bc.worst_ratio_printed != pytest.approx(bc.worst_ratio, rel=1e-6)
+    assert bc.violated == (max(r) > 1.0)
+
+
+@pytest.mark.parametrize("lam", [8.0, 9.0, 9.5])
+def test_bound_check_degenerate_series(lam):
+    zero = dynamics._bound_check(T, np.array([0.0, 0.1, 0.2, 0.3]), lam, LAM_C, D.volume)
+    assert (zero.worst_ratio, zero.worst_ratio_printed, zero.worst_ratio_after_start) == (0, 0, 0)
+    one = dynamics._bound_check(T[:1], np.array([0.7]), lam, LAM_C, D.volume)
+    assert (one.worst_ratio, one.worst_ratio_printed, one.worst_ratio_after_start) == (1, 1, 0)
+
+
 def test_integrate_supercritical_bound(rng):
     p = Params(9.5)
     cap = (9.5 - 9.0) * D.volume
@@ -285,12 +329,12 @@ def test_basin_probe_gsh_labels():
     assert basin_probe(seeds, p, references) == ["attractor", "unresolved"]
 
 
-def _reference_etdrk2(x, p, dt, steps):
+def _reference_etdrk2(x, d, p, dt, steps):
     """ETDRK2 on the rows of x from the public products and the phi weights."""
-    E, f1, f2 = dynamics._weights(D, p.lam, dt)
+    E, f1, f2 = dynamics._weights(d, p.lam, dt)
 
     def nonlinear(y):
-        rows = [SpectralField(D, r) for r in np.reshape(y, (-1, y.shape[-1]))]
+        rows = [SpectralField(d, r) for r in np.reshape(y, (-1, y.shape[-1]))]
         out = [p.mu * square(f).data - cube(f).data for f in rows]
         return np.reshape(out, y.shape)
 
@@ -301,15 +345,21 @@ def _reference_etdrk2(x, p, dt, steps):
     return x
 
 
-@pytest.mark.parametrize("mu", [0.0, 0.5])
+# the one step loop on every boundary condition: 0.5 above lambda_c
+@pytest.mark.parametrize("d,lam,mu", [
+    (D, 9.5, 0.0),
+    (D, 9.5, 0.5),
+    (Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=32, band=8), 0.5, 0.0),
+    (Domain.make(1, 4 * math.pi, "periodic", grid_n=64, band=16), 0.5, 0.0),
+], ids=["0.0", "0.5", "odd-periodic-2d", "periodic-1d"])
 @pytest.mark.parametrize("batch", [None, 3])
-def test_dirichlet_advance_matches_reference(mu, batch, rng):
-    p, dt = Params(9.5, mu), 1e-3
-    fields = [random_field(D, rng, 1.0, unit_norm=True) for _ in range(batch or 1)]
+def test_dirichlet_advance_matches_reference(d, lam, mu, batch, rng):
+    p, dt = Params(lam, mu), 1e-3
+    fields = [random_field(d, rng, 1.0, unit_norm=True) for _ in range(batch or 1)]
     x = fields[0].data if batch is None else np.stack([f.data for f in fields])
     x_in = x.copy()
-    out = dynamics._etd_kernel(_product_maps(D), D, p, dt)(x, 500)
-    ref = _reference_etdrk2(x, p, dt, 500)
+    out = dynamics._etd_kernel(_product_maps(d), d, p, dt)(x, 500)
+    ref = _reference_etdrk2(x, d, p, dt, 500)
     np.testing.assert_array_equal(x, x_in)
     assert out.shape == x.shape
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))

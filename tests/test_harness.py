@@ -21,6 +21,7 @@ from shbif.harness import (
     write_csv,
 )
 from shbif import cli
+from shbif.linear_analysis import principal
 
 
 def test_parse_config_valid():
@@ -183,6 +184,22 @@ def test_decay_final_norm_provenance_names_t_end(tmp_path):
     rep = run_suite("decay-critical", cfg, out_dir=str(tmp_path))
     check = next(c for c in rep.checks if c.name == "final-norm-halved")
     assert check.provenance == "algebraic decay implies |u(10)| < 0.5 |u0|"
+
+
+def test_decay_subcritical_provenance_states_the_psi_bound(tmp_path):
+    # the check's ratios are of psi = |u|^2, the quantity its provenance bounds
+    cfg = default_config("decay-subcritical")
+    cfg.t_end = 2.0
+    rep = run_suite("decay-subcritical", cfg, out_dir=str(tmp_path))
+    check = next(c for c in rep.checks if c.name == "l2-within-exponential-envelope")
+    assert check.provenance == "comparison bound psi <= exp(2 (lambda-lambda_c) t) psi0"
+    run, t, l2 = np.loadtxt(tmp_path / "decay-subcritical-series.csv", delimiter=",",
+                            skiprows=1, unpack=True)
+    psi0 = (l2[t == 0] ** 2)[run.astype(int)]
+    lam_c = principal(cfg.domain()).lambda_c
+    ratios = l2[t > 0] ** 2 / (psi0 * np.exp(2.0 * (cfg.lam - lam_c) * t))[t > 0]
+    after = float(check.detail.rsplit(" ", 1)[1])
+    assert after == pytest.approx(np.max(ratios), rel=1e-5)
 
 
 def test_report_json_contains_tolerance_and_provenance(tmp_path):

@@ -196,8 +196,8 @@ def test_find_all_subcritical_only_trivial():
 
 
 def test_find_all_seed_count_stability():
-    a = find_all(D, P95, n_seeds=100, rng_seed=11, dedup="exact", with_stability=False)
-    b = find_all(D, P95, n_seeds=200, rng_seed=12, dedup="exact", with_stability=False)
+    a = find_all(D, P95, n_seeds=100, rng_seed=11, dedup="exact")
+    b = find_all(D, P95, n_seeds=200, rng_seed=12, dedup="exact")
     assert len(a) == len(b)
 
 
@@ -353,7 +353,7 @@ def test_stability_warns_at_the_window_cap(rng, monkeypatch):
     (Domain.make(2, 4 * math.pi, "odd-periodic", grid_n=64, band=24), 0.3),  # K_c = 2
 ], ids=["2pi-band16", "4pi-band24"])
 def test_warm_started_lobpcg_matches_cold_start(d, lam, monkeypatch):
-    states = find_all(d, Params(lam), n_seeds=20, with_stability=False)
+    states = find_all(d, Params(lam), n_seeds=20)
     calls = _count_lobpcg_calls(monkeypatch)
     warm = [stability(s) for s in states if s.norm > 1e-6]
     assert {s.morse_index for s in warm} == {0, 1}
@@ -381,12 +381,12 @@ def test_sequenced_census_finds_every_plain_state(d, lam, monkeypatch):
     # nested iteration may reach states plain Newton misses from the same
     # seeds, but it must lose none, and it accepts on the full band only
     p = Params(lam)
-    sequenced = find_all(d, p, n_seeds=40, with_stability=False)
+    sequenced = find_all(d, p, n_seeds=40)
     for q in sequenced:
         assert q.state.domain == d
         assert residual(q.state, p).norm() <= steady.NEWTON_TOL
     monkeypatch.setattr(steady, "coarse_domain", lambda domain: None)
-    plain = find_all(d, p, n_seeds=40, with_stability=False)
+    plain = find_all(d, p, n_seeds=40)
     assert any(s.norm > 1e-6 for s in plain)
     for s in plain:
         if d.bc is BoundaryCondition.PERIODIC:
