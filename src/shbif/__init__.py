@@ -43,8 +43,6 @@ from .linear_analysis import (
 from .reduced import (
     ReducedSystem,
     build_reduced,
-    cubic_tensor,
-    quadratic_tensor,
     reduced_fixed_points,
     slaved_mode_prediction,
     torus_points,

@@ -8,6 +8,7 @@ defaults).  Exit code 0 iff every executed check passes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -44,8 +45,8 @@ def _overlay(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """cfg with --config, then the subcommand's flags, then the global flags."""
     if args.config:
         cfg = parse_config(Path(args.config).read_text(), base=cfg)
-    for key in ("dim", "bc", "length", "grid_n", "band", "lam", "mu", "dt", "t_end",
-                "n_seeds", "rng_seed", "jobs", "out_dir"):
+    # every config key but scenario, which names verify's positional argument
+    for key in (f.name for f in dataclasses.fields(cfg) if f.name != "scenario"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)

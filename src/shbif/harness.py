@@ -44,7 +44,14 @@ import scipy
 import scipy.integrate as sintegrate
 
 from . import oracles
-from .dynamics import Params, StepperConfig, basin_probe, check_params, integrate
+from .dynamics import (
+    DECAY_TOL,
+    Params,
+    StepperConfig,
+    basin_probe,
+    check_params,
+    integrate,
+)
 from .errors import ParseError, RangeError, UsageError
 from .linear_analysis import eigenfunction, principal
 from .reduced import (
@@ -180,9 +187,6 @@ class CheckResult:
         self.tolerance = float(self.tolerance)
         self.passed = bool(self.passed)
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class VerificationReport:
@@ -196,13 +200,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "passed": self.passed,
-            "checks": [c.as_dict() for c in self.checks],
-            "metadata": self.metadata,
-            "artifacts": self.artifacts,
-        }
+        return {**dataclasses.asdict(self), "passed": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
@@ -266,13 +264,13 @@ def write_pgm_2d(g: GridField, path) -> str:
 # scenarios
 # ---------------------------------------------------------------------------
 
-# integrate's bound regime -> (check name, tolerance, provenance of its bound)
+# integrate's bound regime -> (check name, provenance of its bound), at DECAY_TOL
 _DECAY_CHECKS = {
-    "subcritical": ("l2-within-exponential-envelope", 1e-6,
+    "subcritical": ("l2-within-exponential-envelope",
                     "comparison bound psi <= exp(2 (lambda-lambda_c) t) psi0"),
-    "critical": ("l2sq-within-algebraic-envelope", 1e-9,
+    "critical": ("l2sq-within-algebraic-envelope",
                  "comparison bound psi <= psi0 / ((2/V) psi0 t + 1), derived constant"),
-    "supercritical": ("l2sq-within-logistic-cap", 1e-9,
+    "supercritical": ("l2sq-within-logistic-cap",
                       "comparison bound psi <= max(psi0, (lambda-lambda_c) V), "
                       "derived constant"),
 }
@@ -290,7 +288,8 @@ def _scenario_decay(cfg: ExperimentConfig, out: Path):
              for _ in range(cfg.n_seeds)]
     reports = integrate(seeds, cfg.params(), cfg.stepper())
     regime = reports[0].bound_check.regime
-    name, tol, provenance = _DECAY_CHECKS[regime]
+    name, provenance = _DECAY_CHECKS[regime]
+    tol = DECAY_TOL[regime]
     worst = max(rep.bound_check.worst_ratio for rep in reports)
     worst_p = max(rep.bound_check.worst_ratio_printed for rep in reports)
     after = max(rep.bound_check.worst_ratio_after_start for rep in reports)
@@ -534,9 +533,8 @@ def _scenario_periodic_torus(cfg: ExperimentConfig, out: Path):
     top_nonneutral = []
     for f, r in zip(pts, res):
         s = stability(SteadyState(f, r, p.lam, p.mu))
-        small = [e for e in s.leading_eigs if abs(e) < 1e-6]
-        neutral_counts.append(len(small))
-        top_nonneutral.append(max(e for e in s.leading_eigs if abs(e) >= 1e-6))
+        neutral_counts.append(len(s.neutral_eigs))
+        top_nonneutral.append(max(e for e in s.leading_eigs if e not in s.neutral_eigs))
     checks = [
         CheckResult(
             "max-residual", 0.0, max(res), 1e-10, max(res) <= 1e-10,

@@ -80,12 +80,15 @@ class ReducedSystem:
         }
 
 
-def _symmetric_tensor(domain: Domain, modes, product, order: int) -> np.ndarray:
-    """A[j_1..j_order, i] = <product(phi_j_1, ..., phi_j_order), phi_i>.
+def _symmetric_tensor(domain: Domain, modes, order: int) -> np.ndarray:
+    """A[j_1..j_order, i] = <phi_j_1 ... phi_j_order, phi_i>, dealiased.
 
-    The product is symmetric in its factors, so it is evaluated once per
-    sorted index tuple and copied to every permutation.
+    Order 3 gives the cubic tensor T[j,k,l,i], order 2 the quadratic tensor
+    Q[j,k,i] (identically zero for odd-periodic).  The product is symmetric
+    in its factors, so it is evaluated once per sorted index tuple and
+    copied to every permutation.
     """
+    product = {3: triple, 2: multiply}[order]
     fields = [eigenfunction(domain, m) for m in modes]
     m = len(fields)
     A = np.zeros((m,) * (order + 1))
@@ -96,16 +99,6 @@ def _symmetric_tensor(domain: Domain, modes, product, order: int) -> np.ndarray:
             for perm in set(itertools.permutations(idx)):
                 A[perm + (i,)] = val
     return A
-
-
-def cubic_tensor(domain: Domain, modes) -> np.ndarray:
-    """T[j,k,l,i] = <phi_j phi_k phi_l, phi_i> by dealiased products."""
-    return _symmetric_tensor(domain, modes, triple, 3)
-
-
-def quadratic_tensor(domain: Domain, modes) -> np.ndarray:
-    """Q[j,k,i] = <phi_j phi_k, phi_i>; identically zero for odd-periodic."""
-    return _symmetric_tensor(domain, modes, multiply, 2)
 
 
 def build_reduced(domain: Domain) -> ReducedSystem:
@@ -122,7 +115,7 @@ def build_reduced(domain: Domain) -> ReducedSystem:
     modes = summ.critical_modes
     return ReducedSystem(
         domain, summ.lambda_c, modes,
-        cubic_tensor(domain, modes), quadratic_tensor(domain, modes),
+        _symmetric_tensor(domain, modes, 3), _symmetric_tensor(domain, modes, 2),
     )
 
 

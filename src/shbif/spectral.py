@@ -194,6 +194,13 @@ def wavevector(domain: Domain, k: tuple[int, ...]) -> np.ndarray:
     return 2.0 * math.pi * k / L
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cache shares them with every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 class _Lattice:
     """Cached index machinery for one domain: the modes of the flat layout.
 
@@ -217,11 +224,9 @@ class _Lattice:
             self.cscale = math.sqrt(2.0 * domain.volume)  # c_K = (z_K - i y_K) / cscale
         symbol = (1.0 - np.sum(kappa**2, axis=1)) ** 2
         self.kinds = ("sin", "cos") if domain.bc is BoundaryCondition.PERIODIC else ("sin",)
-        self.kvecs = kvecs
+        self.kvecs, self.symbol = _read_only(kvecs, np.tile(symbol, len(self.kinds)))
         self.nhalf = len(kvecs)
         self.nflat = self.nhalf * len(self.kinds)
-        self.symbol = np.tile(symbol, len(self.kinds))
-        self.symbol.flags.writeable = False  # shared by every caller through the cache
         self.mode_pos = {tuple(kv): j for j, kv in enumerate(kvecs.tolist())}
 
 
@@ -243,11 +248,8 @@ def _shared_slots(src: Domain, dst: Domain) -> tuple[np.ndarray, np.ndarray]:
              if k in b.mode_pos]
     i, j = np.array(pairs).T
     kinds = range(len(a.kinds))  # periodic cosines sit nhalf after their sines
-    out = (np.concatenate([i + w * a.nhalf for w in kinds]),
-           np.concatenate([j + w * b.nhalf for w in kinds]))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    return _read_only(np.concatenate([i + w * a.nhalf for w in kinds]),
+                      np.concatenate([j + w * b.nhalf for w in kinds]))
 
 
 def resample(x: np.ndarray, src: Domain, dst: Domain) -> np.ndarray:
@@ -403,35 +405,20 @@ def _spectrum_slots(domain: Domain, sizes: tuple[int, ...]):
         dst.append(2 * cell)
         coef.append(np.full(lat.nhalf, 1.0 / lat.cscale))
     on_plane = k[:, -1] == 0
-    out = (cell, np.concatenate(dst), np.concatenate(coef), cell[on_plane],
-           cells(-k[on_plane]))
-    for a in out:
-        a.flags.writeable = False
-    return (shape, *out)
-
-
-@lru_cache(maxsize=64)
-def _padded_spectrum(domain: Domain, shape: tuple[int, ...]) -> np.ndarray:
-    """Zero-tailed irfft input of `shape` for syntheses of fields on `domain`.
-
-    Synthesis overwrites the band's last-axis columns 0..b on every call and
-    never returns the buffer, so its tail stays zero and irfft makes no
-    padding copy.  There is one buffer per domain, batch and grid shape and
-    process: transforms on one domain must not run in two threads.
-    """
-    return np.zeros(shape, dtype=complex)
+    return (shape, *_read_only(cell, np.concatenate(dst), np.concatenate(coef),
+                               cell[on_plane], cells(-k[on_plane])))
 
 
 def _fourier_synthesis(x: np.ndarray, domain: Domain, sizes, half: bool = False) -> np.ndarray:
     """Grid values on `sizes` of the flat Fourier vectors x, shape (..., n).
 
     Leading axes of x are a batch and lead the result.  The non-last axes
-    are transformed over the b + 1 columns that hold data only, and a cached
-    zero-tailed half-spectrum pads them for irfft.  With `half` (odd-periodic,
-    dim >= 2) only the rows j0 = 0..M0 // 2 of axis 0 are returned: the
-    spectrum is i times a real array, whose axis-0 inverse transform is
-    Hermitian, so a real ihfft yields exactly those rows, and only they go
-    on through the middle axes into the half-spectrum.
+    are transformed over the b + 1 columns that hold data only, and irfft
+    pads them with zeros.  With `half` (odd-periodic, dim >= 2) only the
+    rows j0 = 0..M0 // 2 of axis 0 are returned: the spectrum is i times a
+    real array, whose axis-0 inverse transform is Hermitian, so a real ihfft
+    yields exactly those rows, and only they go on through the middle axes
+    into the half-spectrum.
     """
     shape, cell, dst, coef, plane, mirror = _spectrum_slots(domain, sizes)
     dim = domain.dim
@@ -444,8 +431,7 @@ def _fourier_synthesis(x: np.ndarray, domain: Domain, sizes, half: bool = False)
                           norm="forward")
         if dim == 3:
             spec = sfft.ifft(spec, axis=-2, norm="forward", overwrite_x=True)
-        padded = _padded_spectrum(domain, (*spec.shape[:-1], sizes[-1] // 2 + 1))
-        np.multiply(spec, 1j, out=padded[..., : shape[-1]])
+        spec *= 1j
     else:
         spec = np.zeros((*lead, 2 * math.prod(shape)))
         spec[..., dst] = x * coef
@@ -453,9 +439,7 @@ def _fourier_synthesis(x: np.ndarray, domain: Domain, sizes, half: bool = False)
         spec[..., mirror] = spec[..., plane].conj()
         spec = sfft.ifftn(spec.reshape(*lead, *shape), axes=range(-dim, -1),
                           norm="forward", overwrite_x=True)
-        padded = _padded_spectrum(domain, (*spec.shape[:-1], sizes[-1] // 2 + 1))
-        padded[..., : shape[-1]] = spec
-    return sfft.irfft(padded, n=sizes[-1], norm="forward")
+    return sfft.irfft(spec, n=sizes[-1], norm="forward")
 
 
 def _fourier_analysis(values: np.ndarray, domain: Domain, sizes) -> np.ndarray:
@@ -541,9 +525,7 @@ def _dirichlet_matrices(band: int, length: float):
     C *= 2.0 / (P + 1)
     C[0] *= 0.5
     even = _sine_projection_matrix(band, length).T @ C
-    for m in (S, odd, even):
-        m.flags.writeable = False  # shared by every caller through the cache
-    return S, odd, even
+    return _read_only(S, odd, even)
 
 
 @lru_cache(maxsize=DOMAIN_CACHE_SIZE)

@@ -183,27 +183,24 @@ def newton(u0: SpectralField, p: Params) -> SteadyState:
         jac = _Jacobian(u, p, gu)
         eta = min(0.1, max(1e-4, nf))
         try:
-            delta = _solve_newton_system(jac, -f, eta)
-        except SingularJacobian:
-            # iterates collapsing onto the trivial branch hit a genuinely
-            # singular Jacobian (double root at the bifurcation point); the
-            # limit is the exact steady state u = 0
+            dv = SpectralField(u.domain, _solve_newton_system(jac, -f, eta))
+            s = 1.0
+            for _ in range(11):
+                u_try = u + s * dv
+                f_try, gu_try = _residual(u_try, p)
+                nf_try = float(np.linalg.norm(f_try))
+                if nf_try < nf:
+                    break
+                s *= 0.5
+            else:
+                raise NoConvergence("line search could not reduce the residual")
+        except (SingularJacobian, NoConvergence):
+            # iterates collapsing onto the trivial branch stall on a singular
+            # Jacobian (double root at the bifurcation point) or a line search
+            # that cannot lower the residual; the limit is the exact state u = 0
             if u.norm() < 1e-3:
                 return SteadyState(SpectralField.zeros(u.domain), 0.0, p.lam, p.mu)
             raise
-        dv = SpectralField(u.domain, delta)
-        s = 1.0
-        for _ in range(11):
-            u_try = u + s * dv
-            f_try, gu_try = _residual(u_try, p)
-            nf_try = float(np.linalg.norm(f_try))
-            if nf_try < nf:
-                break
-            s *= 0.5
-        else:
-            if u.norm() < 1e-3:
-                return SteadyState(SpectralField.zeros(u.domain), 0.0, p.lam, p.mu)
-            raise NoConvergence("line search could not reduce the residual")
         u, f, gu, nf = u_try, f_try, gu_try, nf_try
     if nf <= NEWTON_TOL:
         return SteadyState(u, nf, p.lam, p.mu)

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from shbif import dynamics
 from shbif.dynamics import (
+    DECAY_TOL,
     Params,
     StepperConfig,
     basin_probe,
@@ -148,7 +149,7 @@ def test_bound_check_matches_closed_forms(lam, regime, r):
     assert bc.worst_ratio_printed == pytest.approx(expected_p, rel=1e-12)
     if regime != "subcritical":
         assert bc.worst_ratio_printed != pytest.approx(bc.worst_ratio, rel=1e-6)
-    assert bc.violated == (max(r) > 1.0)
+    assert bc.violated == (max(r) > 1.0 + DECAY_TOL[regime])
 
 
 @pytest.mark.parametrize("lam", [8.0, 9.0, 9.5])

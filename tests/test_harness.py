@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shbif import cli, harness
+from shbif.dynamics import DECAY_TOL, RunReport, _bound_check
 from shbif.errors import ParseError, RangeError, UsageError
 from shbif.harness import (
     SCENARIOS,
@@ -20,8 +22,8 @@ from shbif.harness import (
     run_suite,
     write_csv,
 )
-from shbif import cli
 from shbif.linear_analysis import principal
+from shbif.spectral import SpectralField
 
 
 def test_parse_config_valid():
@@ -200,6 +202,35 @@ def test_decay_subcritical_provenance_states_the_psi_bound(tmp_path):
     ratios = l2[t > 0] ** 2 / (psi0 * np.exp(2.0 * (cfg.lam - lam_c) * t))[t > 0]
     after = float(check.detail.rsplit(" ", 1)[1])
     assert after == pytest.approx(np.max(ratios), rel=1e-5)
+
+
+@pytest.mark.parametrize("name,regime", [("decay-subcritical", "subcritical"),
+                                         ("decay-critical", "critical"),
+                                         ("decay-supercritical", "supercritical")])
+@pytest.mark.parametrize("excess", [0.5, 2.0], ids=["within", "beyond"])
+def test_violated_agrees_with_decay_check(tmp_path, monkeypatch, name, regime, excess):
+    # a run whose worst psi / bound is 1 + excess * tol: the run's monitor
+    # and the scenario's check read the same tolerance, so they agree
+    cfg = default_config(name)
+    d, p = cfg.domain(), cfg.params()
+    lam_c = principal(d).lambda_c
+    ratio = 1.0 + excess * DECAY_TOL[regime]
+    times = np.array([0.0, 1.0])
+    psi0 = 0.25  # below the supercritical cap
+    bound = {"subcritical": psi0 * math.exp(2.0 * (p.lam - lam_c)),
+             "critical": psi0 / (2.0 / d.volume * psi0 + 1.0),
+             "supercritical": max(psi0, (p.lam - lam_c) * d.volume)}[regime]
+    norms = np.sqrt([psi0, ratio * bound])
+    bc = _bound_check(times, norms, p.lam, lam_c, d.volume)
+    assert bc.regime == regime
+    run = RunReport(times, norms, np.zeros(2), bc, SpectralField.zeros(d), lam_c, p)
+    monkeypatch.setattr(harness, "integrate", lambda seeds, *_: [run] * len(seeds))
+    rep = run_suite(name, cfg, out_dir=str(tmp_path))
+    check = rep.checks[0]
+    assert check.tolerance == DECAY_TOL[regime]
+    assert check.observed == pytest.approx(ratio, rel=1e-12)
+    assert bc.violated == (excess > 1.0)
+    assert check.passed == (not bc.violated)
 
 
 def test_report_json_contains_tolerance_and_provenance(tmp_path):

@@ -15,8 +15,6 @@ from shbif.linear_analysis import eigenfunction, growth_rate
 from shbif.reduced import (
     build_reduced,
     cubic_flow,
-    cubic_tensor,
-    quadratic_tensor,
     reduced_fixed_points,
     slaved_mode_prediction,
     torus_points,
@@ -30,7 +28,7 @@ D_PER1 = Domain.make(1, 2 * math.pi, "periodic", grid_n=64, band=16)
 
 
 def test_cubic_tensor_dirichlet_values(inner_by_quadrature):
-    T = cubic_tensor(D_DIR, [("sin", (1,))])
+    T = build_reduced(D_DIR).cubic
     assert_allclose(T[0, 0, 0, 0], 3 / math.pi, rtol=1e-13)
     # third-harmonic entry against quadrature: -1/(2L)
     phi1 = eigenfunction(D_DIR, 1)
@@ -67,7 +65,7 @@ def test_quadratic_tensor_zero_for_odd():
 
 
 def test_quadratic_tensor_dirichlet_alpha():
-    Q = quadratic_tensor(D_DIR, [("sin", (1,))])
+    Q = build_reduced(D_DIR).quadratic
     alpha = 8 * math.sqrt(2) / (3 * math.pi * math.sqrt(D_DIR.length[0]))
     assert_allclose(Q[0, 0, 0], alpha, rtol=1e-12)
 

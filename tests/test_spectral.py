@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
-from shbif import linear_analysis, oracles, spectral
+from shbif import dynamics, linear_analysis, oracles, spectral
 from shbif.dynamics import Params
 from shbif.errors import DomainMismatch
 from shbif.harness import write_csv_1d, write_pgm_2d
@@ -140,6 +140,19 @@ def test_products_exact_at_band_edge(domain, rng):
             assert abs(sq.coeff(n) - oracles.square_quadrature_oracle(f, n)) <= 1e-12
     else:
         assert oracles.compare_coeffs(sq, oracles.square_oracle(f)) <= 1e-12
+
+
+@pytest.mark.parametrize("domain", ALL_DOMAINS, ids=_domain_id)
+def test_cached_arrays_are_read_only(domain):
+    # a cache hands the same arrays to every caller, so none may write them
+    lat = spectral._lattice(domain)
+    arrays = [lat.kvecs, lat.symbol, *dynamics._weights(domain, 9.5, 1e-3),
+              *spectral._shared_slots(domain, replace(domain, band=(2,) * domain.dim))]
+    if domain.is_dirichlet:
+        arrays += spectral._dirichlet_matrices(domain.band[0], domain.length[0])
+    else:
+        arrays += spectral._spectrum_slots(domain, domain.grid_n)[1:]
+    assert not any(a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=_domain_id)

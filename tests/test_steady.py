@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from shbif import steady
 from shbif.dynamics import Params
-from shbif.errors import DegenerateState, NoConvergence
+from shbif.errors import DegenerateState, NoConvergence, SingularJacobian
 from shbif.linear_analysis import coarse_domain, eigenfunction, growth_array, growth_rate
 from shbif.spectral import (
     BoundaryCondition,
@@ -136,6 +136,28 @@ def test_newton_no_convergence(monkeypatch):
     monkeypatch.setattr(steady, "NEWTON_MAX_ITER", 2)
     with pytest.raises(NoConvergence):
         newton(5.0 * eigenfunction(D, 1), P95)
+
+
+def _singular(jac, rhs, rtol):
+    raise SingularJacobian("stub")
+
+
+def _zero_step(jac, rhs, rtol):
+    return np.zeros_like(rhs)  # no step length lowers the residual
+
+
+@pytest.mark.parametrize("solve,error", [(_singular, SingularJacobian),
+                                         (_zero_step, NoConvergence)],
+                         ids=["singular-jacobian", "line-search"])
+def test_newton_collapse_routes(monkeypatch, solve, error):
+    # near zero either stall collapses to the exact trivial state; far
+    # from it the same stall is raised
+    monkeypatch.setattr(steady, "_solve_newton_system", solve)
+    s = newton(1e-4 * eigenfunction(D, 1), P95)
+    assert np.all(s.state.data == 0.0)
+    assert s.residual == 0.0
+    with pytest.raises(error):
+        newton(0.5 * eigenfunction(D, 1), P95)
 
 
 def test_stability_trivial_state():
