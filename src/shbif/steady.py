@@ -13,6 +13,17 @@ WEYL_TOL (the trivial state), and otherwise uses dense symmetric
 eigendecomposition for small systems and a preconditioned block iteration
 (LOBPCG, ARPACK fallback) for larger ones.
 
+Newton runs in lockstep on a batch of states, one per row: each step takes
+one batched residual, one batched MINRES and a line search that halves its
+step length per row, and a row leaves the batch when it converges, fails or
+collapses.  newton is the batch of one.  The MINRES is a row-wise port of
+scipy's (Paige & Saunders, SINUM 12, 1975), with its recurrences and
+stopping tests, so a row's iterates match scipy's to rounding.  Every
+per-row reduction ignores the other rows, so on Fourier domains a row's
+result does not depend on its batch; a dirichlet batch of one multiplies by
+the product matrices in a BLAS matrix-vector call, which rounds differently
+from a matrix product.
+
 Census solves and LOBPCG use nested iteration (grid sequencing; Kelley,
 Solving Nonlinear Equations with Newton's Method, 2003, sec. 1.9): the
 problem is solved first on linear_analysis.coarse_domain, whose band per
@@ -22,7 +33,11 @@ full band.  States bifurcated from zero decay fast in |K|, so near onset
 that start is already converged; a state the coarse band does not resolve
 costs full-band Newton steps.  Only the full band decides: a state is
 accepted when its full-band residual meets NEWTON_TOL, and every reported
-eigenvalue comes from a full-band LOBPCG, dense or Weyl evaluation.
+eigenvalue comes from a full-band LOBPCG, dense or Weyl evaluation.  The
+census gives each pool worker one batch of seeds, which takes its
+coarse-band steps in lockstep.  The full-band solve stays per seed: near
+onset it is a single residual with no Newton step, and a batched band-64
+synthesis measured slower per row than single ones.
 """
 
 from __future__ import annotations
@@ -119,13 +134,15 @@ class _Jacobian:
 
     gu, when given, is u's product-grid values as _residual returned them;
     otherwise u is synthesised here.  minv = 1/(|beta| + 1) is the diagonal
-    preconditioner of both MINRES and LOBPCG.
+    preconditioner of both MINRES and LOBPCG.  u.data of shape (m, n) is a
+    batch of m states, and row i of a batch Jacobian's argument is applied
+    with the i-th state.
     """
 
     def __init__(self, u: SpectralField, p: Params, gu: np.ndarray | None = None):
         self.u = u
         self.domain = u.domain
-        self.n = len(u.data)
+        self.n = u.data.shape[-1]
         self.p = p
         self.beta = growth_array(u.domain, p.lam)
         self.minv = 1.0 / (np.abs(self.beta) + 1.0)
@@ -135,11 +152,14 @@ class _Jacobian:
         self.w_odd = -3.0 * gu * gu
         self.w_even = 2.0 * p.mu * gu if p.mu != 0.0 else None
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """J x on coefficient arrays of shape (..., n), row by row."""
+    def apply(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """J x on coefficient arrays of shape (..., n), row by row.
+
+        On a batch Jacobian, x holds one row for each state u.data[rows].
+        """
         gx = self.synthesize(x)
-        even = None if self.w_even is None else self.even(self.w_even * gx)
-        gx *= self.w_odd  # in place: one product-grid array fewer alive
+        even = None if self.w_even is None else self.even(self.w_even[rows] * gx)
+        gx *= self.w_odd[rows]  # in place: one product-grid array fewer alive
         out = self.beta * x + self.odd(gx)
         return out if even is None else out + even
 
@@ -158,53 +178,161 @@ def jacobian_apply(u: SpectralField, p: Params, v: SpectralField) -> SpectralFie
     return SpectralField(u.domain, _Jacobian(u, p).apply(v.data))
 
 
-def _solve_newton_system(jac: _Jacobian, rhs: np.ndarray, rtol: float) -> np.ndarray:
-    x, _info = spla.minres(jac.as_linear_operator(), rhs, rtol=max(rtol, 1e-12),
-                           maxiter=max(KRYLOV_MAXITER, 2 * jac.n), M=jac.preconditioner())
-    res = float(np.linalg.norm(jac.apply(x) - rhs))
-    if res > 0.5 * float(np.linalg.norm(rhs)):
-        raise SingularJacobian("inner solver stagnated (singular Jacobian)")
-    return x
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _minres(jac: _Jacobian, b: np.ndarray, rtol: np.ndarray,
+            maxiter: int) -> tuple[np.ndarray, np.ndarray]:
+    """MINRES (Paige & Saunders, SINUM 12, 1975) on each row of J x = b from x = 0.
+
+    A row-wise port of scipy.sparse.linalg.minres without shift, with the
+    preconditioner jac.minv: row i, solved with the i-th state of the batch
+    Jacobian jac, keeps that function's recurrences and its stopping tests
+    at rtol[i], and leaves the batch when they stop it.  Returns x and the
+    iteration count per row.
+    """
+    eps = np.finfo(float).eps
+    x_out, itn_out = np.zeros_like(b), np.zeros(len(b), dtype=int)
+    y = jac.minv * b
+    beta1 = np.sqrt(_rowdot(b, y))
+    rows = np.flatnonzero(beta1 > 0.0)  # b = 0 is solved by x = 0
+    r1 = r2 = b[rows]
+    y, beta1, rtol = y[rows], beta1[rows], rtol[rows]
+    x, w, w2 = (np.zeros_like(r1) for _ in range(3))
+    beta, phibar = beta1, beta1
+    oldb, dbar, epsln, tnorm2, gmax, sn = (np.zeros(len(rows)) for _ in range(6))
+    gmin, cs = np.full(len(rows), np.finfo(float).max), np.full(len(rows), -1.0)
+    itn = 0
+    while rows.size:
+        itn += 1
+        # Lanczos step on the preconditioned operator
+        v = (1.0 / beta)[:, None] * y
+        y = jac.apply(v, rows)
+        if itn >= 2:
+            y = y - (beta / oldb)[:, None] * r1
+        alfa = _rowdot(v, y)
+        y = y - (alfa / beta)[:, None] * r2
+        r1, r2 = r2, y
+        y = jac.minv * r2
+        oldb, beta = beta, np.sqrt(_rowdot(r2, y))
+        tnorm2 = tnorm2 + alfa**2 + oldb**2 + beta**2
+        # previous plane rotation, then the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.sqrt(gbar**2 + dbar**2)
+        gamma = np.maximum(np.sqrt(gbar**2 + beta**2), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps[:, None] * w1 - delta[:, None] * w2) * (1.0 / gamma)[:, None]
+        x = x + phi[:, None] * w
+        gmax, gmin = np.maximum(gmax, gamma), np.minimum(gmin, gamma)
+        anorm = np.sqrt(tnorm2)
+        ynorm = np.linalg.norm(x, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            test1 = phibar / (anorm * ynorm)  # |r| / (|A| |x|)
+            test2 = root / anorm  # |A r| / (|A| |r|)
+        stop = ((test1 <= rtol) | (test2 <= rtol) | (1.0 + test1 <= 1.0) | (1.0 + test2 <= 1.0)
+                | (anorm * ynorm * eps >= beta1) | (gmax / gmin >= 0.1 / eps) | (itn >= maxiter))
+        if itn == 1:
+            stop |= beta / beta1 <= 10 * eps  # b and x are eigenvectors
+        x_out[rows[stop]], itn_out[rows[stop]] = x[stop], itn
+        go = ~stop
+        (rows, rtol, beta1, r1, r2, y, x, w, w2, beta, oldb, dbar, epsln, phibar, tnorm2,
+         gmax, gmin, cs, sn) = (a[go] for a in (rows, rtol, beta1, r1, r2, y, x, w, w2, beta,
+                                                oldb, dbar, epsln, phibar, tnorm2, gmax,
+                                                gmin, cs, sn))
+    return x_out, itn_out
+
+
+def _solve_newton_system(jac: _Jacobian, rhs: np.ndarray,
+                         rtol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """MINRES steps x for the rows of J x = rhs, and which rows they solve.
+
+    A row is solved when its step meets |J x - rhs| <= |rhs| / 2; otherwise
+    the inner solver stagnated on a singular Jacobian.
+    """
+    x, _itn = _minres(jac, rhs, rtol, max(KRYLOV_MAXITER, 2 * jac.n))
+    res = np.linalg.norm(jac.apply(x) - rhs, axis=1)
+    return x, ~(res > 0.5 * np.linalg.norm(rhs, axis=1))
+
+
+def _newton_rows(u: SpectralField,
+                 p: Params) -> list[SteadyState | NoConvergence | SingularJacobian]:
+    """Lockstep Newton on the rows of u.data, shape (m, n), to NEWTON_TOL.
+
+    Every step takes one batched residual, one batched MINRES and a line
+    search that halves s per row.  A row leaves the batch when it
+    converges, fails or collapses: iterates collapsing onto the trivial
+    branch stall on a singular Jacobian (double root at the bifurcation
+    point) or a line search that cannot lower the residual, so a row that
+    stalls below |u| < 1e-3 returns the exact state u = 0.  Returns each
+    row's SteadyState, or the NoConvergence or SingularJacobian that ended it.
+    """
+    d = u.domain
+    out = [None] * len(u.data)
+    rows, x = np.arange(len(u.data)), u.data
+    f, gu = _residual(u, p)
+    nf = np.linalg.norm(f, axis=1)
+    for it in range(NEWTON_MAX_ITER + 1):
+        conv = nf <= NEWTON_TOL
+        for i in np.flatnonzero(conv):
+            out[rows[i]] = SteadyState(SpectralField(d, x[i].copy()), float(nf[i]), p.lam, p.mu)
+        if it == NEWTON_MAX_ITER:
+            for i in np.flatnonzero(~conv):
+                out[rows[i]] = NoConvergence(f"no convergence after {NEWTON_MAX_ITER} "
+                                             f"Newton steps (|F|={nf[i]:.3g})")
+            break
+        diverged = ~conv & ~(nf <= 1e8)  # nan and inf too
+        for i in np.flatnonzero(diverged):
+            out[rows[i]] = NoConvergence(f"residual diverged ({nf[i]:.3g})")
+        go = ~(conv | diverged)
+        rows, x, f, gu, nf = rows[go], x[go], f[go], gu[go], nf[go]
+        if not rows.size:
+            break
+        dv, solved = _solve_newton_system(_Jacobian(SpectralField(d, x), p, gu), -f,
+                                          np.clip(nf, 1e-4, 0.1))
+        s, searching = np.ones(len(rows)), solved.copy()
+        new = [np.empty_like(a) for a in (x, f, gu, nf)]
+        for _ in range(11):
+            idx = np.flatnonzero(searching)
+            if not idx.size:
+                break
+            x_try = x[idx] + s[idx, None] * dv[idx]
+            f_try, gu_try = _residual(SpectralField(d, x_try), p)
+            nf_try = np.linalg.norm(f_try, axis=1)
+            lower = nf_try < nf[idx]
+            for a, a_try in zip(new, (x_try, f_try, gu_try, nf_try)):
+                a[idx[lower]] = a_try[lower]
+            searching[idx[lower]] = False
+            s[idx[~lower]] *= 0.5
+        stalled = ~solved | searching
+        for i in np.flatnonzero(stalled):
+            if np.linalg.norm(x[i]) < 1e-3:
+                out[rows[i]] = SteadyState(SpectralField.zeros(d), 0.0, p.lam, p.mu)
+            elif solved[i]:
+                out[rows[i]] = NoConvergence("line search could not reduce the residual")
+            else:
+                out[rows[i]] = SingularJacobian("inner solver stagnated (singular Jacobian)")
+        go = ~stalled
+        rows, (x, f, gu, nf) = rows[go], (a[go] for a in new)
+    return out
 
 
 def newton(u0: SpectralField, p: Params) -> SteadyState:
     """Newton iteration from u0 to a residual norm of NEWTON_TOL.
 
-    Raises NoConvergence after NEWTON_MAX_ITER steps, or SingularJacobian.
+    The batch of one of _newton_rows.  Raises NoConvergence after
+    NEWTON_MAX_ITER steps, or SingularJacobian.
     """
-    u = u0
-    f, gu = _residual(u, p)
-    nf = float(np.linalg.norm(f))
-    for _ in range(NEWTON_MAX_ITER):
-        if nf <= NEWTON_TOL:
-            return SteadyState(u, nf, p.lam, p.mu)
-        if not np.isfinite(nf) or nf > 1e8:
-            raise NoConvergence(f"residual diverged ({nf:.3g})")
-        jac = _Jacobian(u, p, gu)
-        eta = min(0.1, max(1e-4, nf))
-        try:
-            dv = SpectralField(u.domain, _solve_newton_system(jac, -f, eta))
-            s = 1.0
-            for _ in range(11):
-                u_try = u + s * dv
-                f_try, gu_try = _residual(u_try, p)
-                nf_try = float(np.linalg.norm(f_try))
-                if nf_try < nf:
-                    break
-                s *= 0.5
-            else:
-                raise NoConvergence("line search could not reduce the residual")
-        except (SingularJacobian, NoConvergence):
-            # iterates collapsing onto the trivial branch stall on a singular
-            # Jacobian (double root at the bifurcation point) or a line search
-            # that cannot lower the residual; the limit is the exact state u = 0
-            if u.norm() < 1e-3:
-                return SteadyState(SpectralField.zeros(u.domain), 0.0, p.lam, p.mu)
-            raise
-        u, f, gu, nf = u_try, f_try, gu_try, nf_try
-    if nf <= NEWTON_TOL:
-        return SteadyState(u, nf, p.lam, p.mu)
-    raise NoConvergence(f"no convergence after {NEWTON_MAX_ITER} Newton steps (|F|={nf:.3g})")
+    out = _newton_rows(SpectralField(u0.domain, u0.data[None]), p)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +487,39 @@ def orbit_distance(a: SpectralField, b: SpectralField, p: Params,
     return best
 
 
-def _newton_task(task):
-    seed, p = task
-    coarse = coarse_domain(seed.domain)
-    try:
-        if coarse is not None:
-            s = newton(SpectralField(coarse, resample(seed.data, seed.domain, coarse)), p)
-            seed = SpectralField(seed.domain, resample(s.state.data, coarse, seed.domain))
-        return newton(seed, p)
-    except (NoConvergence, SingularJacobian):
-        return None
+def _solve_seeds(task) -> list[SteadyState | None]:
+    """The full-band states of one batch of seeds, None where a seed fails.
+
+    The batch is a SpectralField with one seed per row, on domain or on
+    coarse_domain(domain).  On the coarse band the seeds take their Newton
+    steps in lockstep, and each that converges or collapses is zero-padded
+    to the full band; there every seed is solved alone.
+    """
+    seeds, domain, p = task
+    starts = list(seeds.data)
+    if seeds.domain != domain:
+        starts = [None if isinstance(s, Exception) else s.state.data
+                  for s in _newton_rows(seeds, p)]
+    out = []
+    for x in starts:
+        try:
+            out.append(None if x is None else
+                       newton(SpectralField(domain, resample(x, seeds.domain, domain)), p))
+        except (NoConvergence, SingularJacobian):
+            out.append(None)
+    return out
+
+
+def _order_key(s: SteadyState) -> tuple:
+    """Census order: by rounded norm, then by the nonzero rounded coefficients.
+
+    Those compare as (index, -value) pairs, so of u and -u the state whose
+    first nonzero coefficient is positive comes first, and a coefficient
+    that rounds to zero takes no part, whatever the sign of its noise.
+    """
+    r = np.round(s.state.data, 9)
+    i = np.flatnonzero(r)
+    return round(s.norm, 9), tuple(zip(i.tolist(), (-r[i]).tolist()))
 
 
 def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0,
@@ -383,29 +534,32 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
     axis and more), and its zero-padded result is solved again on the full
     band; only that full-band solve accepts a state (residual <=
     NEWTON_TOL), and a coarse failure fails the seed.  This pays off when
-    the states are resolved within the coarse band, as near onset.  Every
-    kept state is returned with its stability.  With jobs > 1 one fork pool of that size runs the Newton solves and
-    then the stability calls.
+    the states are resolved within the coarse band, as near onset.  The
+    seeds are split into one batch per worker, whose coarse solves take
+    their Newton steps in lockstep.  Every kept state is returned with its
+    stability.  With jobs > 1 one fork pool of that size runs the batches
+    and then the stability calls.
     """
     check_params(domain, p)
     seed_scale = default_seed_scale(domain, p)
     summ = principal(domain)
     rng = np.random.default_rng(rng_seed)
     crit = [eigenfunction(domain, m) for m in summ.critical_modes]
+    start = coarse_domain(domain) or domain  # where the seeds take their first steps
     seeds = []
     for _ in range(n_seeds):
         f = SpectralField.zeros(domain)
         for phi in crit:
             f = f + float(rng.normal(0.0, seed_scale)) * phi
         f = f + random_field(domain, rng, 0.01 * seed_scale, smooth=True)
-        seeds.append(f)
+        seeds.append(resample(f.data, domain, start))
+    batches = [SpectralField(start, b) for b in np.array_split(np.array(seeds), jobs) if len(b)]
     with contextlib.ExitStack() as stack:
         run = map
         if jobs > 1:
             run = stack.enter_context(multiprocessing.get_context("fork").Pool(jobs)).map
-        results = run(_newton_task, [(s, p) for s in seeds])
-        states = [s for s in results if s is not None]
-        states.sort(key=lambda s: (round(s.norm, 9), np.round(s.state.data, 9).tobytes()))
+        results = run(_solve_seeds, [(b, domain, p) for b in batches])
+        states = sorted((s for batch in results for s in batch if s is not None), key=_order_key)
         kept: list[SteadyState] = []
         for s in states:
             if all(orbit_distance(s.state, k.state, p, dedup) >= DEDUP_TOL for k in kept):

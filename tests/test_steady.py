@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from shbif import steady
@@ -24,6 +25,7 @@ from shbif.steady import (
     WEYL_TOL,
     SteadyState,
     _Jacobian,
+    _minres,
     _residual,
     _solve_newton_system,
     _weyl_bound,
@@ -139,11 +141,11 @@ def test_newton_no_convergence(monkeypatch):
 
 
 def _singular(jac, rhs, rtol):
-    raise SingularJacobian("stub")
+    return np.zeros_like(rhs), np.zeros(len(rhs), bool)  # no row is solved
 
 
 def _zero_step(jac, rhs, rtol):
-    return np.zeros_like(rhs)  # no step length lowers the residual
+    return np.zeros_like(rhs), np.ones(len(rhs), bool)  # no step length lowers the residual
 
 
 @pytest.mark.parametrize("solve,error", [(_singular, SingularJacobian),
@@ -263,25 +265,132 @@ def test_orbit_distance_translation():
     assert orbit_distance(s.state, -1.0 * s.state, p) <= 1e-12
 
 
-@pytest.mark.parametrize("case", ["dirichlet-saddle", "odd-periodic-mixed"])
+INNER_SOLVE_CASES = pytest.mark.parametrize("case", ["dirichlet-saddle", "odd-periodic-mixed"])
+
+
+def _inner_solve_case(case):
+    if case == "dirichlet-saddle":
+        return D, Params(8.9, 1.0), 0.12 * eigenfunction(D, 1)  # near the mu = 1 saddle
+    d = Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=64, band=16)
+    return d, Params(0.2), math.sqrt(2 * d.volume * 0.2 / 9) * (
+        eigenfunction(d, ("sin", (1, 0))) + eigenfunction(d, ("sin", (0, 1))))
+
+
+@INNER_SOLVE_CASES
 def test_inner_solve_meets_newton_bound(case):
     # The bound newton relies on: the inner solve returns a step delta with
-    # |J delta + F| <= |F| / 2, or raises SingularJacobian.  MINRES stops on
-    # its rtol = eta in the preconditioned norm, so eta itself does not bound
-    # the Euclidean residual; the step must still cut the residual.
-    if case == "dirichlet-saddle":
-        d, p = D, Params(8.9, 1.0)
-        u = 0.12 * eigenfunction(D, 1)  # near the mu = 1, lambda = 8.9 saddle
-    else:
-        d, p = Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=64, band=16), Params(0.2)
-        u = math.sqrt(2 * d.volume * 0.2 / 9) * (
-            eigenfunction(d, ("sin", (1, 0))) + eigenfunction(d, ("sin", (0, 1))))
+    # |J delta + F| <= |F| / 2, or reports the row unsolved (a singular
+    # Jacobian).  MINRES stops on its rtol = eta in the preconditioned norm,
+    # so eta itself does not bound the Euclidean residual; the step must
+    # still cut the residual.
+    d, p, u = _inner_solve_case(case)
     f = residual(u, p)
     eta = min(0.1, max(1e-4, f.norm()))  # the forcing term newton passes
-    jac = _Jacobian(u, p)
-    delta = _solve_newton_system(jac, -f.data, eta)
-    assert np.linalg.norm(jac.apply(delta) + f.data) <= 0.5 * f.norm()
+    jac = _Jacobian(SpectralField(d, u.data[None]), p)
+    steps, solved = _solve_newton_system(jac, -f.data[None], np.array([eta]))
+    delta = steps[0]
+    assert solved[0]
+    assert np.linalg.norm(jac.apply(delta[None])[0] + f.data) <= 0.5 * f.norm()
     assert residual(u + SpectralField(d, delta), p).norm() < 0.1 * f.norm()
+
+
+@INNER_SOLVE_CASES
+def test_minres_port_matches_scipy(case, rng):
+    d, p, u = _inner_solve_case(case)
+    f = residual(u, p).data
+    eta = min(0.1, max(1e-4, float(np.linalg.norm(f))))
+    maxiter = max(steady.KRYLOV_MAXITER, 2 * len(f))
+    single = _Jacobian(u, p)
+    iterates = []
+    want, info = spla.minres(single.as_linear_operator(), -f, rtol=eta, maxiter=maxiter,
+                             M=single.preconditioner(), callback=iterates.append)
+    assert info == 0
+    x, itn = _minres(_Jacobian(SpectralField(d, u.data[None]), p), -f[None],
+                     np.array([eta]), maxiter)
+    assert itn[0] == len(iterates)
+    assert np.linalg.norm(x[0] - want) <= 1e-12 * np.linalg.norm(want)
+    # a second right-hand side of the same Jacobian: a batch of two returns
+    # each row's batch-of-one result, bit for bit where the transforms are
+    # FFTs; a dirichlet batch of one multiplies by the product matrices in a
+    # BLAS matrix-vector call, which rounds differently from a matrix product
+    g = random_field(d, rng, 1.0).data
+    pair = _Jacobian(SpectralField(d, np.stack([u.data, u.data])), p)
+    both, itn2 = _minres(pair, np.stack([-f, g]), np.array([eta, 1e-3]), maxiter)
+    x_g, itn_g = _minres(_Jacobian(SpectralField(d, u.data[None]), p), g[None],
+                         np.array([1e-3]), maxiter)
+    alone = np.concatenate([x, x_g])
+    assert list(itn2) == [itn[0], itn_g[0]]
+    if d.is_dirichlet:
+        assert np.max(np.abs(both - alone)) <= 1e-13 * np.max(np.abs(alone))
+    else:
+        assert np.array_equal(both, alone)
+
+
+def _newton_status(s):
+    if isinstance(s, Exception):
+        return type(s).__name__
+    return "collapsed" if s.residual == 0.0 and not s.state.data.any() else "converged"
+
+
+def _scalar_newton(u, p):
+    """(status, state) of the one-seed Newton loop with scipy's MINRES."""
+    x, (f, gu) = u.data, _residual(u, p)
+    nf = float(np.linalg.norm(f))
+    for _ in range(steady.NEWTON_MAX_ITER):
+        if nf <= steady.NEWTON_TOL:
+            return "converged", x
+        if not nf <= 1e8:
+            return "NoConvergence", None
+        jac = _Jacobian(SpectralField(u.domain, x), p, gu)
+        dv, _info = spla.minres(jac.as_linear_operator(), -f, rtol=min(0.1, max(1e-4, nf)),
+                                maxiter=max(steady.KRYLOV_MAXITER, 2 * len(x)),
+                                M=jac.preconditioner())
+        if np.linalg.norm(jac.apply(dv) + f) > 0.5 * nf:
+            stall = "SingularJacobian"
+        else:
+            stall = "NoConvergence"
+            for step in 0.5 ** np.arange(11):
+                f_try, gu_try = _residual(SpectralField(u.domain, x + step * dv), p)
+                if np.linalg.norm(f_try) < nf:
+                    x, f, gu, nf = x + step * dv, f_try, gu_try, float(np.linalg.norm(f_try))
+                    stall = None
+                    break
+        if stall:
+            return ("collapsed", 0.0 * x) if np.linalg.norm(x) < 1e-3 else (stall, None)
+    return ("converged", x) if nf <= steady.NEWTON_TOL else ("NoConvergence", None)
+
+
+def test_lockstep_newton_matches_batches_of_one(rng):
+    # at lambda_c = 0 the census's coarse domain has seeds that converge, seeds
+    # whose inner solve stagnates and seeds that collapse onto u = 0; each
+    # row must match its batch of one bit for bit, and the scalar loop with
+    # scipy's MINRES to rounding
+    seeds = np.stack([random_field(D2_BAND16, rng, scale).data
+                      for scale in np.geomspace(1e-4, 1.0, 24)])
+    p = Params(0.0)
+    lockstep = steady._newton_rows(SpectralField(D2_BAND16, seeds), p)
+    status = [_newton_status(s) for s in lockstep]
+    assert {"converged", "collapsed", "SingularJacobian"} <= set(status)
+    for seed, s, st in zip(seeds, lockstep, status):
+        alone = steady._newton_rows(SpectralField(D2_BAND16, seed[None]), p)[0]
+        assert _newton_status(alone) == st
+        ref_status, ref_state = _scalar_newton(SpectralField(D2_BAND16, seed), p)
+        assert ref_status == st
+        if st in ("converged", "collapsed"):
+            assert np.array_equal(alone.state.data, s.state.data)
+            assert alone.residual == s.residual
+            assert np.max(np.abs(s.state.data - ref_state)) <= 1e-12
+
+
+def test_order_key_ignores_the_sign_of_rounded_zeros(rng):
+    # coefficients at noise level round to -0.0 or +0.0; the census order
+    # must not depend on which
+    u = random_field(D, rng, 1.0)
+    u.data[::2] = 1e-17
+    flipped = SpectralField(D, u.data.copy())
+    flipped.data[::2] = -1e-17
+    a, b = (SteadyState(v, 0.0, 9.5, 0.0) for v in (u, flipped))
+    assert steady._order_key(a) == steady._order_key(b)
 
 
 @pytest.mark.parametrize("domain,p", [
