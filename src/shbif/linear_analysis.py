@@ -130,3 +130,11 @@ def coarse_domain(domain: Domain) -> Domain | None:
     band = tuple(min(b, max(-(-b // 4), 8, 8 * math.ceil(kappa_c / h - 1e-9)))
                  for b, h in zip(domain.band, spacing))
     return None if band == domain.band else replace(domain, band=band)
+
+
+def _levels(domain: Domain) -> list[Domain]:
+    """The coarse_domain chain of domain, coarsest first and domain last."""
+    chain = [domain]
+    while (coarse := coarse_domain(chain[0])) is not None:
+        chain.insert(0, coarse)
+    return chain

@@ -25,19 +25,22 @@ the product matrices in a BLAS matrix-vector call, which rounds differently
 from a matrix product.
 
 Census solves and LOBPCG use nested iteration (grid sequencing; Kelley,
-Solving Nonlinear Equations with Newton's Method, 2003, sec. 1.9): the
-problem is solved first on linear_analysis.coarse_domain, whose band per
-axis is the largest of ceil(b / 4), 8 and 8 K_c (K_c the critical shell's
-index on that axis), and the zero-padded result starts the solve on the
-full band.  States bifurcated from zero decay fast in |K|, so near onset
-that start is already converged; a state the coarse band does not resolve
-costs full-band Newton steps.  Only the full band decides: a state is
-accepted when its full-band residual meets NEWTON_TOL, and every reported
-eigenvalue comes from a full-band LOBPCG, dense or Weyl evaluation.  The
-census gives each pool worker one batch of seeds, which takes its
-coarse-band steps in lockstep.  The full-band solve stays per seed: near
-onset it is a single residual with no Newton step, and a batched band-64
-synthesis measured slower per row than single ones.
+Solving Nonlinear Equations with Newton's Method, 2003, sec. 1.9) down the
+chain linear_analysis._levels: coarse_domain, whose band per axis is the
+largest of ceil(b / 4), 8 and 8 K_c (K_c the critical shell's index on
+that axis), applied until the band stops shrinking.  A census seed is
+solved first on the coarsest level, and each zero-padded result starts the
+solve on the next level, up to the full band.  States bifurcated from zero
+decay fast in |K|, so near onset each start is already converged; a state
+a coarse band does not resolve costs finer Newton steps.  LOBPCG starts
+from the leading eigenvectors of the Jacobian on the coarsest level.  Only
+the full band decides: a state is accepted when its full-band residual
+meets NEWTON_TOL, and every reported eigenvalue comes from a full-band
+LOBPCG, dense or Weyl evaluation.  The census gives each pool worker one
+batch of seeds, which takes its steps below the full band in lockstep.
+The full-band solve stays per seed: near onset it is a single residual
+with no Newton step, and a batched band-64 synthesis measured slower per
+row than single ones.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .errors import (
     NoConvergence,
     SingularJacobian,
 )
-from .linear_analysis import coarse_domain, eigenfunction, growth_array, principal
+from .linear_analysis import _levels, eigenfunction, growth_array, principal
 from .spectral import (
     BoundaryCondition,
     Domain,
@@ -240,12 +243,13 @@ def _minres(jac: _Jacobian, b: np.ndarray, rtol: np.ndarray,
                 | (anorm * ynorm * eps >= beta1) | (gmax / gmin >= 0.1 / eps) | (itn >= maxiter))
         if itn == 1:
             stop |= beta / beta1 <= 10 * eps  # b and x are eigenvectors
-        x_out[rows[stop]], itn_out[rows[stop]] = x[stop], itn
-        go = ~stop
-        (rows, rtol, beta1, r1, r2, y, x, w, w2, beta, oldb, dbar, epsln, phibar, tnorm2,
-         gmax, gmin, cs, sn) = (a[go] for a in (rows, rtol, beta1, r1, r2, y, x, w, w2, beta,
-                                                oldb, dbar, epsln, phibar, tnorm2, gmax,
-                                                gmin, cs, sn))
+        if stop.any():  # compact the batch only when a row leaves it
+            x_out[rows[stop]], itn_out[rows[stop]] = x[stop], itn
+            go = ~stop
+            (rows, rtol, beta1, r1, r2, y, x, w, w2, beta, oldb, dbar, epsln, phibar, tnorm2,
+             gmax, gmin, cs, sn) = (a[go] for a in (rows, rtol, beta1, r1, r2, y, x, w, w2,
+                                                    beta, oldb, dbar, epsln, phibar, tnorm2,
+                                                    gmax, gmin, cs, sn))
     return x_out, itn_out
 
 
@@ -342,19 +346,26 @@ def newton(u0: SpectralField, p: Params) -> SteadyState:
 def _lobpcg_start(jac: _Jacobian, k: int) -> np.ndarray:
     """Initial LOBPCG block of k columns for jac.
 
-    The coarse Jacobian's leading Ritz vectors, zero-padded to the full
-    band (Knyazev, SISC 23, 2001), when coarse_domain, which keeps the
-    critical shell and the modes near it, gives a problem that LOBPCG
-    iterates on (scipy's size rule, n >= 5 k) and that iteration
-    succeeds.  Otherwise unit vectors on the least-damped modes plus a
-    little fixed noise.
+    Nested iteration (Knyazev, SISC 23, 2001): k leading eigenvectors of
+    the Jacobian on _levels' coarsest band, which keeps the critical shell
+    and the modes near it, zero-padded to the full band.  They come from
+    a dense solve when that band holds k to DENSE_LIMIT modes, and from a
+    cold-started LOBPCG there when it holds more (and scipy's size rule,
+    n >= 5 k, lets it iterate), which measured faster than a cold start
+    on the full band.  Otherwise, or when that LOBPCG fails, unit vectors
+    on the least-damped modes plus a little fixed noise.
     """
-    coarse = coarse_domain(jac.domain)
-    if coarse is not None:
-        u = SpectralField(coarse, resample(jac.u.data, jac.domain, coarse))
-        pairs = _lobpcg(_Jacobian(u, jac.p), k) if len(u.data) >= 5 * k else None
-        if pairs is not None:
-            return resample(pairs[1].T, coarse, jac.domain).T
+    coarse = _levels(jac.domain)[0]
+    if coarse != jac.domain:
+        cjac = _Jacobian(SpectralField(coarse, resample(jac.u.data, jac.domain, coarse)), jac.p)
+        vecs = None
+        if k <= cjac.n <= DENSE_LIMIT:
+            mat = cjac.apply(np.eye(cjac.n))  # row i is J e_i: the transpose of J
+            vecs = np.linalg.eigh(0.5 * (mat + mat.T))[1][:, -k:]
+        elif cjac.n >= 5 * k and (pairs := _lobpcg(cjac, k)) is not None:
+            vecs = pairs[1]
+        if vecs is not None:
+            return resample(vecs.T, coarse, jac.domain).T
     x0 = np.zeros((jac.n, k))
     x0[np.argsort(-jac.beta)[:k], np.arange(k)] = 1.0
     return x0 + 1e-3 * np.random.default_rng(0).standard_normal(x0.shape)
@@ -417,9 +428,9 @@ def stability(s: SteadyState) -> SteadyState:
     small systems are diagonalised densely; larger ones run LOBPCG on k =
     N_EIGS leading eigenvalues, doubling k up to a cap of 64 (and n - 2) until one
     lies below -1e-6, and warn when the cap stops them: the Morse index may
-    be truncated.  LOBPCG starts from the leading Ritz vectors of the
-    Jacobian on coarse_domain and still runs to its tolerance on the full
-    band, so the eigenvalues are full-band ones.
+    be truncated.  LOBPCG starts from the leading eigenvectors of the
+    Jacobian on the coarsest of _levels (_lobpcg_start) and still runs to
+    its tolerance on the full band, so the eigenvalues are full-band ones.
     """
     periodic = s.state.domain.bc is BoundaryCondition.PERIODIC
     if _weyl_bound(s.state, s.mu) < WEYL_TOL:
@@ -490,23 +501,27 @@ def orbit_distance(a: SpectralField, b: SpectralField, p: Params,
 def _solve_seeds(task) -> list[SteadyState | None]:
     """The full-band states of one batch of seeds, None where a seed fails.
 
-    The batch is a SpectralField with one seed per row, on domain or on
-    coarse_domain(domain).  On the coarse band the seeds take their Newton
-    steps in lockstep, and each that converges or collapses is zero-padded
-    to the full band; there every seed is solved alone.
+    The batch is a SpectralField with one seed per row, on _levels(domain)[0].
+    On each level below the full band the live seeds take their Newton
+    steps in lockstep, and those that converge or collapse are zero-padded
+    to the next level as one batch; a seed that fails on any level fails.
+    On the full band every seed is solved alone.
     """
     seeds, domain, p = task
-    starts = list(seeds.data)
-    if seeds.domain != domain:
-        starts = [None if isinstance(s, Exception) else s.state.data
-                  for s in _newton_rows(seeds, p)]
-    out = []
-    for x in starts:
-        try:
-            out.append(None if x is None else
-                       newton(SpectralField(domain, resample(x, seeds.domain, domain)), p))
-        except (NoConvergence, SingularJacobian):
-            out.append(None)
+    levels = _levels(domain)
+    rows, x = np.arange(len(seeds.data)), seeds.data
+    for level, finer in zip(levels, levels[1:]):
+        if not rows.size:
+            break  # every seed failed on a coarser level
+        solved = _newton_rows(SpectralField(level, x), p)
+        ok = [i for i, s in enumerate(solved) if not isinstance(s, Exception)]
+        rows = rows[ok]
+        x = resample(np.array([solved[i].state.data for i in ok]).reshape(-1, x.shape[1]),
+                     level, finer)
+    out = [None] * len(seeds.data)
+    for r, xr in zip(rows, x):
+        with contextlib.suppress(NoConvergence, SingularJacobian):
+            out[r] = newton(SpectralField(domain, xr), p)
     return out
 
 
@@ -529,29 +544,30 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
     Seeds are random combinations of the critical eigenfunctions plus small
     noise on the slaved modes.  dedup 'symmetry' identifies states equal up
     to a global sign flip (mu = 0) and, for periodic domains, grid
-    translations; 'exact' keeps every distinct state.  Each seed is solved
-    on coarse_domain first when the band exceeds what that holds (8 K_c per
-    axis and more), and its zero-padded result is solved again on the full
-    band; only that full-band solve accepts a state (residual <=
-    NEWTON_TOL), and a coarse failure fails the seed.  This pays off when
-    the states are resolved within the coarse band, as near onset.  The
-    seeds are split into one batch per worker, whose coarse solves take
-    their Newton steps in lockstep.  Every kept state is returned with its
-    stability.  With jobs > 1 one fork pool of that size runs the batches
-    and then the stability calls.
+    translations; 'exact' keeps every distinct state.  Each seed is drawn
+    onto the coarsest of _levels(domain) and solved on each level in turn,
+    from the zero-padded result of the one below; only the full-band solve
+    accepts a state (residual <= NEWTON_TOL), and a failure on any level
+    fails the seed.  This pays off when the states are resolved within the
+    coarse bands, as near onset.  The seeds are split into one batch per
+    worker, whose solves below the full band take their Newton steps in
+    lockstep.  Every kept state is returned with its stability.  With jobs
+    > 1 one fork pool of that size runs the batches and then the stability
+    calls.
     """
     check_params(domain, p)
     seed_scale = default_seed_scale(domain, p)
     summ = principal(domain)
     rng = np.random.default_rng(rng_seed)
     crit = [eigenfunction(domain, m) for m in summ.critical_modes]
-    start = coarse_domain(domain) or domain  # where the seeds take their first steps
+    start = _levels(domain)[0]  # where the seeds take their first steps
     seeds = []
     for _ in range(n_seeds):
         f = SpectralField.zeros(domain)
         for phi in crit:
             f = f + float(rng.normal(0.0, seed_scale)) * phi
         f = f + random_field(domain, rng, 0.01 * seed_scale, smooth=True)
+        # row by row: one full-band batch of seeds raised the census's peak RSS
         seeds.append(resample(f.data, domain, start))
     batches = [SpectralField(start, b) for b in np.array_split(np.array(seeds), jobs) if len(b)]
     with contextlib.ExitStack() as stack:

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from shbif.dynamics import Params, step
 from shbif.errors import BandTooSmall
 from shbif.linear_analysis import (
+    _levels,
     coarse_domain,
     eigenfunction,
     growth_array,
@@ -228,3 +229,21 @@ def test_coarse_domain_keeps_the_long_dirichlet_critical_shell(band, want):
     d = Domain.make(1, 40.0, "dirichlet", grid_n=256, band=band)
     c = coarse_domain(d)
     assert c == (None if want is None else Domain(d.dim, d.length, d.bc, d.grid_n, (want,)))
+
+
+@pytest.mark.parametrize("d,want", [
+    (Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=256, band=64), [8, 16, 64]),
+    (Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=128, band=40), [8, 10, 40]),
+    (Domain.make(1, math.pi / 2, "dirichlet", grid_n=64, band=16), [8, 16]),
+    (Domain.make(1, math.pi / 2, "dirichlet", grid_n=512), [8, 32, 128]),
+    (Domain.make(1, 40.0, "dirichlet", grid_n=128, band=48), [48]),
+], ids=["census-box", "odd-periodic-band40", "dirichlet-band16", "cli-default",
+        "dirichlet-long-band48"])
+def test_levels_chain_coarse_domain_down_to_the_coarsest_band(d, want):
+    levels = _levels(d)
+    assert [c.band for c in levels] == [(b,) * d.dim for b in want]
+    assert levels[-1] == d
+    for coarse, fine in zip(levels, levels[1:]):
+        assert coarse_domain(fine) == coarse
+    assert coarse_domain(levels[0]) is None
+

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from shbif import steady
 from shbif.dynamics import Params
 from shbif.errors import DegenerateState, NoConvergence, SingularJacobian
-from shbif.linear_analysis import coarse_domain, eigenfunction, growth_array, growth_rate
+from shbif.linear_analysis import _levels, eigenfunction, growth_array, growth_rate
 from shbif.spectral import (
     BoundaryCondition,
     Domain,
@@ -488,8 +488,12 @@ def test_warm_started_lobpcg_matches_cold_start(d, lam, monkeypatch):
     calls = _count_lobpcg_calls(monkeypatch)
     warm = [stability(s) for s in states if s.norm > 1e-6]
     assert {s.morse_index for s in warm} == {0, 1}
-    assert (coarse_domain(d).band, 10) in calls  # the block was seeded from there
-    monkeypatch.setattr(steady, "coarse_domain", lambda domain: None)
+    # the start comes from a dense solve on the coarsest band, or from one
+    # LOBPCG there when that band is too large to diagonalise
+    coarsest = _levels(d)[0]
+    dense = SpectralField.zeros(coarsest).data.size <= steady.DENSE_LIMIT
+    assert {band for band, _ in calls} == ({d.band} if dense else {d.band, coarsest.band})
+    monkeypatch.setattr(steady, "_levels", lambda domain: [domain])
     calls.clear()
     cold = [stability(s) for s in states if s.norm > 1e-6]
     assert {band for band, _ in calls} == {d.band}
@@ -500,14 +504,16 @@ def test_warm_started_lobpcg_matches_cold_start(d, lam, monkeypatch):
 
 @pytest.mark.parametrize("d,lam", [
     (Domain.make(2, 4 * math.pi, "odd-periodic", grid_n=128, band=32), 0.1),
+    # three levels: bands 8, 10 and 40
+    (Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=128, band=40), 0.2),
     # long boxes, critical index 13 and 8: coarse bands 104 and 64, and
     # none at band 48, which cannot hold 8 * 13
     (Domain.make(1, 40.0, "dirichlet", grid_n=256, band=128), 0.05),
     (Domain.make(1, 40.0, "dirichlet", grid_n=128, band=48), 0.01),
     (Domain.make(1, 16 * math.pi, "odd-periodic", grid_n=512, band=128), 0.1),
     (Domain.make(1, 16 * math.pi, "periodic", grid_n=512, band=128), 0.1),
-], ids=["odd-periodic-2d", "dirichlet-long", "dirichlet-long-band48",
-        "odd-periodic-long", "periodic-long"])
+], ids=["odd-periodic-2d", "odd-periodic-2d-three-levels", "dirichlet-long",
+        "dirichlet-long-band48", "odd-periodic-long", "periodic-long"])
 def test_sequenced_census_finds_every_plain_state(d, lam, monkeypatch):
     # nested iteration may reach states plain Newton misses from the same
     # seeds, but it must lose none, and it accepts on the full band only
@@ -516,7 +522,7 @@ def test_sequenced_census_finds_every_plain_state(d, lam, monkeypatch):
     for q in sequenced:
         assert q.state.domain == d
         assert residual(q.state, p).norm() <= steady.NEWTON_TOL
-    monkeypatch.setattr(steady, "coarse_domain", lambda domain: None)
+    monkeypatch.setattr(steady, "_levels", lambda domain: [domain])
     plain = find_all(d, p, n_seeds=40)
     assert any(s.norm > 1e-6 for s in plain)
     for s in plain:
