@@ -65,7 +65,7 @@ def _seed_field(cfg: ExperimentConfig, args):
         coeffs = {(m["kind"], tuple(m["k"])): m["c"] for m in spec["modes"]}
         return SpectralField.from_modes(d, coeffs)
     mode = getattr(args, "seed_mode", None)
-    amp = getattr(args, "seed_amp", None) or 0.1
+    amp = 0.1 if getattr(args, "seed_amp", None) is None else args.seed_amp
     if mode is None:
         mode = principal(d).critical_modes[0]
     else:

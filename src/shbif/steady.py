@@ -7,11 +7,14 @@ by Newton iteration with matrix-free inner solves.  The Jacobian
 
 is self-adjoint but indefinite (its high modes are strongly negative, and
 saddles add positive directions), so the inner solver is MINRES with the
-diagonal preconditioner 1/(|beta_k| + 1).  Stability takes the growth
-rates beta themselves when Weyl's inequality bounds the nonlinear part below
-WEYL_TOL (the trivial state), and otherwise uses dense symmetric
-eigendecomposition for small systems and a preconditioned block iteration
-(LOBPCG, ARPACK fallback) for larger ones.
+diagonal preconditioner 1/(|beta_k| + 1).  Stability bounds the nonlinear
+part |J - diag(beta)| by w from the l1 norm of u's coefficients.  It takes
+the growth rates beta themselves when w < WEYL_TOL (the trivial state), and
+otherwise a dense symmetric eigendecomposition for small systems or one
+preconditioned block iteration (LOBPCG) for larger ones.  By Weyl's
+inequality that iteration's window of max(N_EIGS, #{beta > -(w +
+NEUTRAL_TOL)}) eigenvalues holds every positive and every neutral one, so
+one pass gives the Morse index; a failed pass raises EigsNoConvergence.
 
 Newton runs in lockstep on a batch of states, one per row: each step takes
 one batched residual, one batched MINRES and a line search that halves its
@@ -33,14 +36,15 @@ solved first on the coarsest level, and each zero-padded result starts the
 solve on the next level, up to the full band.  States bifurcated from zero
 decay fast in |K|, so near onset each start is already converged; a state
 a coarse band does not resolve costs finer Newton steps.  LOBPCG starts
-from the leading eigenvectors of the Jacobian on the coarsest level.  Only
-the full band decides: a state is accepted when its full-band residual
-meets NEWTON_TOL, and every reported eigenvalue comes from a full-band
-LOBPCG, dense or Weyl evaluation.  The census gives each pool worker one
-batch of seeds, which takes its steps below the full band in lockstep.
-The full-band solve stays per seed: near onset it is a single residual
-with no Newton step, and a batched band-64 synthesis measured slower per
-row than single ones.
+from the leading eigenvectors of the dense Jacobian on the coarsest level
+when that level holds at most DENSE_LIMIT modes.  Only the full band
+decides: a state is accepted when its full-band residual meets
+NEWTON_TOL, and every reported eigenvalue comes from a full-band LOBPCG,
+dense or Weyl evaluation.  The census gives each pool worker one batch of
+seeds, which takes its steps below the full band in lockstep.  The
+full-band solve stays per seed: near onset it is a single residual with
+no Newton step, and a batched band-64 synthesis measured slower per row
+than single ones.
 """
 
 from __future__ import annotations
@@ -343,67 +347,48 @@ def newton(u0: SpectralField, p: Params) -> SteadyState:
 # stability
 # ---------------------------------------------------------------------------
 
+def _dense(jac: _Jacobian) -> np.ndarray:
+    """The Jacobian as a dense symmetric matrix."""
+    mat = jac.apply(np.eye(jac.n))  # row i is J e_i: the transpose of J
+    return 0.5 * (mat + mat.T)
+
+
 def _lobpcg_start(jac: _Jacobian, k: int) -> np.ndarray:
     """Initial LOBPCG block of k columns for jac.
 
-    Nested iteration (Knyazev, SISC 23, 2001): k leading eigenvectors of
-    the Jacobian on _levels' coarsest band, which keeps the critical shell
-    and the modes near it, zero-padded to the full band.  They come from
-    a dense solve when that band holds k to DENSE_LIMIT modes, and from a
-    cold-started LOBPCG there when it holds more (and scipy's size rule,
-    n >= 5 k, lets it iterate), which measured faster than a cold start
-    on the full band.  Otherwise, or when that LOBPCG fails, unit vectors
-    on the least-damped modes plus a little fixed noise.
+    Nested iteration (Knyazev, SISC 23, 2001): when _levels' coarsest band,
+    which keeps the critical shell and the modes near it, holds k to
+    DENSE_LIMIT modes, the k leading eigenvectors of the dense Jacobian
+    there, zero-padded to the full band.  Otherwise unit vectors on the
+    least-damped modes plus a little fixed noise.
     """
     coarse = _levels(jac.domain)[0]
-    if coarse != jac.domain:
-        cjac = _Jacobian(SpectralField(coarse, resample(jac.u.data, jac.domain, coarse)), jac.p)
-        vecs = None
-        if k <= cjac.n <= DENSE_LIMIT:
-            mat = cjac.apply(np.eye(cjac.n))  # row i is J e_i: the transpose of J
-            vecs = np.linalg.eigh(0.5 * (mat + mat.T))[1][:, -k:]
-        elif cjac.n >= 5 * k and (pairs := _lobpcg(cjac, k)) is not None:
-            vecs = pairs[1]
-        if vecs is not None:
-            return resample(vecs.T, coarse, jac.domain).T
+    u = resample(jac.u.data, jac.domain, coarse)
+    if k <= len(u) <= DENSE_LIMIT:
+        vecs = np.linalg.eigh(_dense(_Jacobian(SpectralField(coarse, u), jac.p)))[1][:, -k:]
+        return resample(vecs.T, coarse, jac.domain).T
     x0 = np.zeros((jac.n, k))
     x0[np.argsort(-jac.beta)[:k], np.arange(k)] = 1.0
     return x0 + 1e-3 * np.random.default_rng(0).standard_normal(x0.shape)
 
 
-def _lobpcg(jac: _Jacobian, k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """LOBPCG's k leading eigenpairs of jac, or None when it fails.
+def _lobpcg(jac: _Jacobian, k: int) -> np.ndarray:
+    """LOBPCG's k leading eigenvalues of jac, in ascending order.
 
     Plain Lanczos stalls on the huge spectral spread of (I+Laplace)^2, so
     the block iteration is preconditioned with 1/(|beta|+1) and started
-    from _lobpcg_start.
+    from _lobpcg_start.  Raises EigsNoConvergence when LOBPCG fails.
     """
-    x0 = _lobpcg_start(jac, k)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            evals, vecs = spla.lobpcg(jac.as_linear_operator(), x0, M=jac.preconditioner(),
-                                      largest=True, tol=1e-7, maxiter=100)
-    except (np.linalg.LinAlgError, ValueError):
-        return None
-    return (np.asarray(evals), vecs) if np.all(np.isfinite(evals)) else None
-
-
-def _leading_eigs_lobpcg(jac: _Jacobian, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest algebraic Jacobian eigenvalues and their eigenvectors, matrix-free.
-
-    Returns (evals, vecs) with vecs of shape (n, k), from _lobpcg, or from
-    ARPACK with a warning when LOBPCG fails.
-    """
-    pairs = _lobpcg(jac, k)
-    if pairs is not None:
-        return pairs
-    warnings.warn(f"stability: LOBPCG failed for the leading {k} eigenvalues; "
-                  "falling back to ARPACK", RuntimeWarning, stacklevel=3)
-    try:
-        return spla.eigsh(jac.as_linear_operator(), k=k, which="LA", maxiter=400 * k)
-    except spla.ArpackNoConvergence as err:
-        raise EigsNoConvergence(str(err)) from err
+            evals, _ = spla.lobpcg(jac.as_linear_operator(), _lobpcg_start(jac, k),
+                                   M=jac.preconditioner(), largest=True, tol=1e-7, maxiter=100)
+    except (np.linalg.LinAlgError, ValueError) as err:
+        raise EigsNoConvergence(f"LOBPCG failed for the leading {k} eigenvalues: {err}") from err
+    if not np.all(np.isfinite(evals)):
+        raise EigsNoConvergence(f"LOBPCG returned non-finite eigenvalues for k = {k}")
+    return np.sort(evals)
 
 
 def _weyl_bound(u: SpectralField, mu: float) -> float:
@@ -411,49 +396,39 @@ def _weyl_bound(u: SpectralField, mu: float) -> float:
 
     That difference projects multiplication by 2 mu u - 3 u^2, so its norm
     is at most 3 s^2 + 2 |mu| s with s = sup |u|.  Every basis function is
-    bounded by sqrt(2 / V), so s <= sqrt(2 n / V) |u| by Cauchy-Schwarz.
+    bounded by sqrt(2 / V), so s <= sqrt(2 / V) |u|_1, the l1 norm of the
+    coefficients.
     """
-    sup = math.sqrt(2.0 * len(u.data) / u.domain.volume) * u.norm()
+    sup = math.sqrt(2.0 / u.domain.volume) * float(np.abs(u.data).sum())
     return 3.0 * sup * sup + 2.0 * abs(mu) * sup
 
 
 def stability(s: SteadyState) -> SteadyState:
     """Fill the N_EIGS leading Jacobian eigenvalues and the Morse index.
 
-    For periodic domains, eigenvalues with |e| < 1e-6 are reported as neutral
-    translation modes and excluded from the Morse index.  When _weyl_bound
-    puts |J(u) - diag(beta)| below WEYL_TOL, as at the trivial state, Weyl's
-    inequality places each eigenvalue within that bound of the sorted beta,
-    which are taken as the eigenvalues with no eigensolver run.  Otherwise
-    small systems are diagonalised densely; larger ones run LOBPCG on k =
-    N_EIGS leading eigenvalues, doubling k up to a cap of 64 (and n - 2) until one
-    lies below -1e-6, and warn when the cap stops them: the Morse index may
-    be truncated.  LOBPCG starts from the leading eigenvectors of the
-    Jacobian on the coarsest of _levels (_lobpcg_start) and still runs to
-    its tolerance on the full band, so the eigenvalues are full-band ones.
+    For periodic domains, eigenvalues with |e| < NEUTRAL_TOL are reported
+    as neutral translation modes and excluded from the Morse index.  Weyl's
+    inequality puts the i-th largest eigenvalue of J(u) within w =
+    _weyl_bound of the i-th largest beta.  When w < WEYL_TOL, as at the
+    trivial state, the sorted beta are taken as the eigenvalues with no
+    eigensolver run.  Otherwise small systems are diagonalised densely, and
+    larger ones run one LOBPCG on k = max(N_EIGS, m) leading eigenvalues,
+    where m counts the beta above -(w + NEUTRAL_TOL): the (k+1)-th
+    eigenvalue then lies at or below -NEUTRAL_TOL, so every positive and
+    every neutral eigenvalue is among the k.  A failed LOBPCG raises
+    EigsNoConvergence.
     """
     periodic = s.state.domain.bc is BoundaryCondition.PERIODIC
-    if _weyl_bound(s.state, s.mu) < WEYL_TOL:
+    w = _weyl_bound(s.state, s.mu)
+    if w < WEYL_TOL:
         evals = np.sort(growth_array(s.state.domain, s.lam))
     else:
         jac = _Jacobian(s.state, Params(s.lam, s.mu))
-        n = jac.n
-        if n <= DENSE_LIMIT:
-            mat = jac.apply(np.eye(n))  # row i is J e_i: the transpose of J
-            evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+        if jac.n <= DENSE_LIMIT:
+            evals = np.linalg.eigvalsh(_dense(jac))
         else:
-            cap = min(64, n - 2)
-            k = min(N_EIGS, cap)
-            while True:
-                evals = np.sort(_leading_eigs_lobpcg(jac, k)[0])
-                if evals[0] < -NEUTRAL_TOL:
-                    break
-                if k >= cap:
-                    warnings.warn(f"stability: all {k} leading eigenvalues lie above "
-                                  f"{-NEUTRAL_TOL:g}; the Morse index may be truncated",
-                                  RuntimeWarning, stacklevel=2)
-                    break
-                k = min(2 * k, cap)
+            window = int(np.count_nonzero(jac.beta > -(w + NEUTRAL_TOL)))
+            evals = _lobpcg(jac, max(N_EIGS, window))
     neutral = tuple(float(e) for e in evals if periodic and abs(e) < NEUTRAL_TOL)
     effective = [float(e) for e in evals if not (periodic and abs(e) < NEUTRAL_TOL)]
     morse = sum(1 for e in effective if e > POS_TOL)

@@ -275,6 +275,15 @@ def test_cli_run_and_artifacts(tmp_path, capsys):
     assert header == "t,l2,lyapunov"
 
 
+def test_cli_run_seed_amp_zero_starts_from_zero(tmp_path, capsys):
+    rc = cli.main(["--out", str(tmp_path), "run", "--dim", "1", "--bc", "dirichlet",
+                   "--length", str(math.pi / 2), "--grid", "64", "--band", "16",
+                   "--lambda", "9.5", "--dt", "1e-3", "--t-end", "0.01", "--seed-amp", "0"])
+    assert rc == 0
+    first = (tmp_path / "run-series.csv").read_text().splitlines()[1]
+    assert float(first.split(",")[1]) == 0.0
+
+
 def test_cli_run_snapshot_fields_parse(tmp_path, capsys):
     rc = cli.main(["--out", str(tmp_path), "run", "--dim", "1", "--bc", "dirichlet",
                    "--length", str(math.pi / 2), "--grid", "64", "--band", "16",

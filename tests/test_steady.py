@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from shbif import steady
 from shbif.dynamics import Params
-from shbif.errors import DegenerateState, NoConvergence, SingularJacobian
-from shbif.linear_analysis import _levels, eigenfunction, growth_array, growth_rate
+from shbif.errors import DegenerateState, EigsNoConvergence, NoConvergence, SingularJacobian
+from shbif.linear_analysis import eigenfunction, growth_array, growth_rate
 from shbif.spectral import (
     BoundaryCondition,
     Domain,
@@ -18,6 +20,7 @@ from shbif.spectral import (
     cube,
     inner,
     random_field,
+    to_grid,
     translate,
     triple,
 )
@@ -431,7 +434,7 @@ def _scaled_state(norm, rng):
 
 
 def _count_lobpcg_calls(monkeypatch):
-    calls = []  # (band, k) per LOBPCG run, coarse warm starts included
+    calls = []  # (band, k) per LOBPCG run
     real = steady._lobpcg
 
     def counted(jac, k):
@@ -463,20 +466,79 @@ def test_stability_small_nonzero_state_still_iterates(rng, monkeypatch):
     assert calls
 
 
-def test_stability_warns_at_the_window_cap(rng, monkeypatch):
-    # a spectrum whose leading eigenvalues are all positive never ends the
-    # k-doubling loop on a negative one; the cap of 64 stops it
-    seen = []
+def _morse_and_neutral(evals, periodic):
+    neutral = [e for e in evals if periodic and abs(e) < steady.NEUTRAL_TOL]
+    return sum(1 for e in evals if e > steady.POS_TOL and e not in neutral), len(neutral)
 
-    def all_positive(jac, k):
-        seen.append(k)
-        return np.linspace(1.0, 2.0, k), np.eye(jac.n, k)
 
-    monkeypatch.setattr(steady, "_leading_eigs_lobpcg", all_positive)
-    with pytest.warns(RuntimeWarning, match="Morse index may be truncated"):
-        s = stability(_scaled_state(1e-3, rng))
-    assert seen == [10, 20, 40, 64]
-    assert s.morse_index == 64
+@pytest.mark.parametrize("d,lam", [
+    (D2_BAND16, 0.2),
+    (Domain.make(2, 4 * math.pi, "odd-periodic", grid_n=64, band=24), 0.3),  # window 12-14
+    (Domain.make(2, 2 * math.pi, "periodic", grid_n=32, band=12), 0.2),  # translation modes
+], ids=["2pi-band16", "4pi-band24", "periodic-band12"])
+def test_one_lobpcg_pass_holds_every_positive_and_neutral_eigenvalue(d, lam, monkeypatch):
+    states = [s for s in find_all(d, Params(lam), n_seeds=8) if s.norm > 1e-6][:3]
+    assert states
+    calls = _count_lobpcg_calls(monkeypatch)
+    periodic = d.bc is BoundaryCondition.PERIODIC
+    for s in states:
+        calls.clear()
+        got = stability(s)
+        jac = _Jacobian(s.state, Params(s.lam, s.mu))
+        w = _weyl_bound(s.state, s.mu)
+        k = max(steady.N_EIGS, int(np.count_nonzero(jac.beta > -(w + steady.NEUTRAL_TOL))))
+        assert calls == [(d.band, k)]
+        mat = jac.apply(np.eye(jac.n))
+        full = np.linalg.eigvalsh(0.5 * (mat + mat.T))[::-1]  # the whole spectrum, descending
+        assert (got.morse_index, len(got.neutral_eigs)) == _morse_and_neutral(full, periodic)
+        assert_allclose(got.leading_eigs, full[:steady.N_EIGS], rtol=0, atol=1e-7)
+        assert full[k] <= -steady.NEUTRAL_TOL  # nothing above the window is missed
+
+
+@pytest.mark.parametrize("failure", ["raises", "nan"])
+def test_stability_raises_when_lobpcg_fails(failure, rng, monkeypatch):
+    def failing_lobpcg(a, x0, **kwargs):
+        if failure == "raises":
+            raise np.linalg.LinAlgError("forced failure")
+        return np.full(x0.shape[1], np.nan), x0
+
+    monkeypatch.setattr(steady.spla, "lobpcg", failing_lobpcg)
+    with pytest.raises(EigsNoConvergence):
+        stability(_scaled_state(1e-3, rng))
+
+
+L1_BOUND_DOMAINS = [
+    D,
+    Domain.make(1, 2 * math.pi, "odd-periodic", grid_n=64, band=16),
+    Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=32, band=8),
+    Domain.make(3, 2 * math.pi, "odd-periodic", grid_n=16, band=4),
+    Domain.make(1, 5.0, "periodic", grid_n=64, band=16),
+    Domain.make(2, 5.0, "periodic", grid_n=32, band=8),
+    Domain.make(3, 2 * math.pi, "periodic", grid_n=16, band=4),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.sampled_from(L1_BOUND_DOMAINS), hst.integers(0, 2**32 - 1), hst.booleans(),
+       hst.booleans())
+def test_l1_coefficient_norm_bounds_the_grid_maximum(domain, seed, smooth, single_mode):
+    # every basis function is bounded by sqrt(2 / V), the bound _weyl_bound uses
+    rng = np.random.default_rng(seed)
+    u = random_field(domain, rng, 1.0, smooth=smooth)
+    if single_mode:  # a lone mode meets the bound where the grid hits its peak
+        keep = rng.integers(u.data.size)
+        u = SpectralField(domain, np.where(np.arange(u.data.size) == keep, u.data, 0.0))
+    sup = math.sqrt(2.0 / domain.volume) * np.abs(u.data).sum()
+    assert np.abs(to_grid(u).values).max() <= sup * (1.0 + 1e-12)
+
+
+@JACOBIAN_CASES
+def test_weyl_bound_holds_for_the_dense_nonlinear_part(domain, p, rng):
+    u = random_field(domain, rng, 0.6)
+    jac = _Jacobian(u, p)
+    mat = jac.apply(np.eye(jac.n))
+    nonlinear = 0.5 * (mat + mat.T) - np.diag(jac.beta)
+    assert np.linalg.norm(nonlinear, 2) <= _weyl_bound(u, p.mu)
 
 
 @pytest.mark.parametrize("d,lam", [
@@ -488,11 +550,7 @@ def test_warm_started_lobpcg_matches_cold_start(d, lam, monkeypatch):
     calls = _count_lobpcg_calls(monkeypatch)
     warm = [stability(s) for s in states if s.norm > 1e-6]
     assert {s.morse_index for s in warm} == {0, 1}
-    # the start comes from a dense solve on the coarsest band, or from one
-    # LOBPCG there when that band is too large to diagonalise
-    coarsest = _levels(d)[0]
-    dense = SpectralField.zeros(coarsest).data.size <= steady.DENSE_LIMIT
-    assert {band for band, _ in calls} == ({d.band} if dense else {d.band, coarsest.band})
+    assert [band for band, _ in calls] == [d.band] * len(warm)  # one full-band pass each
     monkeypatch.setattr(steady, "_levels", lambda domain: [domain])
     calls.clear()
     cold = [stability(s) for s in states if s.norm > 1e-6]
@@ -532,17 +590,3 @@ def test_sequenced_census_finds_every_plain_state(d, lam, monkeypatch):
             assert min(abs(s.norm - q.norm) for q in sequenced) <= 1e-10
         else:
             assert min(orbit_distance(s.state, q.state, p) for q in sequenced) <= 1e-10
-
-
-def test_stability_warns_on_arpack_fallback(rng, monkeypatch):
-    s = _scaled_state(1e-3, rng)
-    want = stability(s)
-
-    def failing_lobpcg(*args, **kwargs):
-        raise np.linalg.LinAlgError("forced failure")
-
-    monkeypatch.setattr(steady.spla, "lobpcg", failing_lobpcg)
-    with pytest.warns(RuntimeWarning, match="falling back to ARPACK"):
-        got = stability(s)
-    assert got.morse_index == want.morse_index
-    assert_allclose(got.leading_eigs, want.leading_eigs, rtol=0, atol=1e-6)
