@@ -7,16 +7,19 @@ provenance.  SCENARIOS registers each id once, with its function and its
 config overrides; default_config builds a new config from it on every call.
 parse_config leaves each range rule to the type that owns it (Domain,
 Params, StepperConfig).  Every CSV in the package is written by write_csv.
-Scenario ids:
+Both censuses run _census, which always reports nonzero-state-count,
+amplitudes-match-reduced, every-reduced-state-found, stability-split and
+index-sum; a new census gives it a dedup and its closed-form claims, then
+appends its own checks.  Scenario ids:
 
     decay-subcritical     exponential L2 decay below the critical value
     decay-critical        algebraic L2 decay at the critical value
     decay-supercritical   logistic L2 cap above the critical value
     pitchfork-amplitude   square-root amplitude law of the dirichlet pitchfork
-    pitchfork-census      exactly two nontrivial states, basins, index sum
+    pitchfork-census      census of two attractors, u2 = -u1, basins resolved
     gsh-transcritical     quadratic branch: saddle/attractor pair, quadratic-cubic
                           balance, order of the linear law's error
-    odd-periodic-census   2-d census: four states, amplitudes, 2+2 stability
+    odd-periodic-census   2-d census: four sign classes, 2+2 stability, runtime
     periodic-torus        circle of steady states under periodic conditions
     slaved-mode           third-harmonic slaving law
     reduced-shadowing     reduced amplitude flow shadows the full dynamics
@@ -42,6 +45,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 import scipy.integrate as sintegrate
+from scipy.optimize import linear_sum_assignment
 
 from . import oracles
 from .dynamics import (
@@ -343,44 +347,79 @@ def _scenario_pitchfork_amplitude(cfg: ExperimentConfig, out: Path):
     return checks, artifacts
 
 
-def _scenario_pitchfork_census(cfg: ExperimentConfig, out: Path):
+def _census(cfg: ExperimentConfig, out: Path, dedup: str, count: int,
+            split: tuple[int, int], index: int, why: tuple[str, str, str]):
+    """find_all, matched one-to-one with the reduced flow; every check always reported.
+
+    The classes are the nonzero reduced fixed points, y and -y one class when
+    dedup folds the sign.  linear_sum_assignment pairs them with the nonzero
+    states at cost max |y - f| / max |f| over the critical modes, least over
+    the folded signs, modes never permuted; a state left unpaired reads inf.
+    count, split (attractors, saddles) and index are the closed-form claims,
+    why their provenance.  Returns the nonzero states, the checks and the CSV.
+    """
     d = cfg.domain()
     p = cfg.params()
-    states = find_all(d, p, n_seeds=cfg.n_seeds, rng_seed=cfg.rng_seed,
-                      jobs=cfg.jobs, dedup="exact")
-    nz = [s for s in states if s.norm > 1e-6]
-    checks = [CheckResult(
-        "nonzero-state-count", 2, len(nz), 0, len(nz) == 2,
+    nz = [s for s in find_all(d, p, n_seeds=cfg.n_seeds, rng_seed=cfg.rng_seed,
+                              jobs=cfg.jobs, dedup=dedup) if s.norm > 1e-6]
+    sys = build_reduced(d)
+    signs = (1.0, -1.0) if dedup == "symmetry" and p.mu == 0.0 else (1.0,)
+    classes = []
+    for f in reduced_fixed_points(sys, p.lam, p.mu):
+        if np.linalg.norm(f.y) > 1e-8 and not any(
+                np.allclose(sgn * f.y, c) for sgn in signs[1:] for c in classes):
+            classes.append(f.y)
+    ys = np.array([[s.state.coeff(m) for m in sys.modes] for s in nz]).reshape(-1, sys.m)
+    cost = np.array([[min(np.max(np.abs(y - sgn * c)) for sgn in signs) / np.max(np.abs(c))
+                      for c in classes] for y in ys]).reshape(len(nz), len(classes))
+    paired = cost[linear_sum_assignment(cost)]
+    worst = float(paired.max(initial=0.0)) if len(paired) == len(nz) else math.inf
+    missing = len(classes) - int(np.count_nonzero(paired <= 0.05))
+    n_attr, n_saddle = (sum(1 for s in nz if s.morse_index == k) for k in (0, 1))
+    total = index_sum(nz)
+    checks = [
+        CheckResult("nonzero-state-count", count, len(nz), 0, len(nz) == count, why[0]),
+        CheckResult("amplitudes-match-reduced", 0.0, worst, 0.05, worst <= 0.05,
+                    "per-mode amplitudes match the reduced fixed points, paired "
+                    "one-to-one modulo the census symmetry",
+                    f"{len(nz)} states, {len(classes)} reduced classes"),
+        CheckResult("every-reduced-state-found", 0, missing, 0, missing == 0,
+                    "every reduced class has its own census state within 0.05"),
+        CheckResult("stability-split", split[0], n_attr, 0, (n_attr, n_saddle) == split,
+                    why[1], f"attractors={n_attr}, saddles={n_saddle}"),
+        CheckResult("index-sum", index, total, 0, total == index, why[2]),
+    ]
+    header = ",".join(["state", *(f"y{j + 1}" for j in range(sys.m)), "l2_norm", "morse_index"])
+    rows = [(i, *y, s.norm, s.morse_index) for i, (s, y) in enumerate(zip(nz, ys))]
+    return nz, checks, write_csv(out / f"{cfg.scenario}.csv", header, rows)
+
+
+def _scenario_pitchfork_census(cfg: ExperimentConfig, out: Path):
+    nz, checks, csv = _census(cfg, out, "exact", 2, (2, 0), 2, (
         "pitchfork: the attractor consists of exactly two steady states",
-    )]
-    mirror = float("nan")
-    if len(nz) == 2:
-        mirror = (nz[0].state + nz[1].state).norm()
-        checks.append(CheckResult(
-            "states-are-mirror-pair", 0.0, mirror, 1e-8, mirror <= 1e-8,
-            "odd symmetry: u2 = -u1",
-        ))
-        total = index_sum(nz)
-        checks.append(CheckResult(
-            "index-sum", 2, total, 0, total == 2,
-            "index formula: sum of (-1)^morse equals 2 for odd multiplicity",
-        ))
+        "pitchfork: both nontrivial steady states are attractors",
+        "index formula: sum of (-1)^morse equals 2 for odd multiplicity",
+    ))
+    mirror = (nz[0].state + nz[1].state).norm() if len(nz) == 2 else math.nan
+    checks.append(CheckResult(
+        "states-are-mirror-pair", 0.0, mirror, 1e-8, mirror <= 1e-8,
+        "odd symmetry: u2 = -u1",
+    ))
+    d = cfg.domain()
     rng = np.random.default_rng(cfg.rng_seed + 1)
     seeds = [random_field(d, rng, 1.0, smooth=True, unit_norm=True)
              for _ in range(50)]
     references = {"trivial": SpectralField.zeros(d)}
     for s in nz:
         references["u1" if s.state.coeff(1) > 0 else "u2"] = s.state
-    labels = basin_probe(seeds, p, references)
+    labels = basin_probe(seeds, cfg.params(), references)
     unresolved = sum(1 for l in labels if l not in ("u1", "u2"))
     checks.append(CheckResult(
         "basin-labels-resolved", 0, unresolved, 0, unresolved == 0,
         "stable manifold of 0 separates the two basins; every seed resolves",
         f"labels: u1={labels.count('u1')}, u2={labels.count('u2')}",
     ))
-    rows = [(i, s.norm, s.state.coeff(1), s.morse_index) for i, s in enumerate(nz)]
-    return checks, [write_csv(out / "pitchfork-census.csv",
-                              "state,l2_norm,coeff1,morse_index", rows)]
+    return checks, [csv]
 
 
 def transcritical_amplitude(beta1: float, mu: float) -> float:
@@ -471,46 +510,9 @@ def _scenario_gsh_transcritical(cfg: ExperimentConfig, out: Path):
 
 def _scenario_odd_periodic_census(cfg: ExperimentConfig, out: Path):
     t0 = time.perf_counter()
-    d = cfg.domain()
-    p = cfg.params()
-    states = find_all(d, p, n_seeds=cfg.n_seeds, rng_seed=cfg.rng_seed,
-                      jobs=cfg.jobs, dedup="symmetry")
-    nz = [s for s in states if s.norm > 1e-6]
-    checks = [CheckResult(
-        "nonzero-state-count", 4, len(nz), 0, len(nz) == 4,
+    _, checks, csv = _census(cfg, out, "symmetry", 4, (2, 2), 0, (
         "2-d census: 2^n = 4 steady-state classes modulo sign",
-    )]
-    sys = build_reduced(d)
-    fps = [f for f in reduced_fixed_points(sys, p.lam)
-           if np.linalg.norm(f.y) > 1e-8]
-    worst_rel = 0.0
-    rows = []
-    for i, s in enumerate(nz):
-        ys = np.array([s.state.coeff(m) for m in sys.modes])
-        best = None
-        for f in fps:
-            tgt = np.sort(np.abs(f.y))
-            got = np.sort(np.abs(ys))
-            rel = float(np.max(np.abs(got - tgt)) / np.max(tgt))
-            if best is None or rel < best:
-                best = rel
-        worst_rel = max(worst_rel, best)
-        rows.append((i, ys[0], ys[1], s.norm, s.morse_index))
-    checks.append(CheckResult(
-        "amplitudes-match-reduced", 0.0, worst_rel, 0.05, worst_rel <= 0.05,
-        "per-mode amplitudes match the tensor-based equal-amplitude law",
-    ))
-    n_attr = sum(1 for s in nz if s.morse_index == 0)
-    n_saddle = sum(1 for s in nz if s.morse_index == 1)
-    checks.append(CheckResult(
-        "stability-split", 2, n_attr, 0,
-        n_attr == 2 and n_saddle == 2,
         "two minimal attractors and two saddles on the invariant circle",
-        f"attractors={n_attr}, saddles={n_saddle}",
-    ))
-    total = index_sum(nz)
-    checks.append(CheckResult(
-        "index-sum", 0, total, 0, total == 0,
         "index formula: sum of (-1)^morse equals 0 for even multiplicity",
     ))
     elapsed = time.perf_counter() - t0
@@ -518,8 +520,7 @@ def _scenario_odd_periodic_census(cfg: ExperimentConfig, out: Path):
         "runtime-seconds", 300.0, elapsed, 0.0, elapsed <= 300.0,
         "census completes within five minutes at the stated resolution",
     ))
-    return checks, [write_csv(out / "odd-periodic-census.csv",
-                              "state,y1,y2,l2_norm,morse_index", rows)]
+    return checks, [csv]
 
 
 def _scenario_periodic_torus(cfg: ExperimentConfig, out: Path):

@@ -456,7 +456,7 @@ def orbit_distance(a: SpectralField, b: SpectralField, p: Params,
     """L2 distance between a and the orbit of b under the symmetry group.
 
     mode 'symmetry': sign flip (mu = 0 only) and, for periodic domains,
-    discrete grid translations.  mode 'exact': plain distance.
+    shifts by whole grid points only.  mode 'exact': plain distance.
     """
     d0 = (a - b).norm()
     if mode == "exact":
@@ -518,8 +518,9 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
 
     Seeds are random combinations of the critical eigenfunctions plus small
     noise on the slaved modes.  dedup 'symmetry' identifies states equal up
-    to a global sign flip (mu = 0) and, for periodic domains, grid
-    translations; 'exact' keeps every distinct state.  Each seed is drawn
+    to a global sign flip (mu = 0) and, on periodic domains, shifts by whole
+    grid points only, so one translation circle yields many states (ROADMAP
+    items 10, 12); 'exact' keeps every distinct state.  Each seed is drawn
     onto the coarsest of _levels(domain) and solved on each level in turn,
     from the zero-padded result of the one below; only the full-band solve
     accepts a state (residual <= NEWTON_TOL), and a failure on any level

@@ -2,10 +2,18 @@
 
 Each test runs the corresponding harness scenario with its default
 configuration and prints one PASS/FAIL line per check (run with -s to see
-them on success).
+them on success).  The planted-census tests pass find_all's states through
+a defect and assert which checks fail.
 """
 
-from shbif.harness import run_suite
+import dataclasses
+import math
+
+import pytest
+
+from shbif import harness
+from shbif.harness import default_config, run_suite
+from shbif.linear_analysis import principal
 
 # The report schema: each scenario's check names, in report order.  A
 # refactor must not rename, drop or reorder a check silently.
@@ -14,13 +22,15 @@ CHECK_NAMES = {
     "decay-critical": ["l2sq-within-algebraic-envelope", "final-norm-halved"],
     "decay-supercritical": ["l2sq-within-logistic-cap"],
     "pitchfork-amplitude": ["amplitude-sq-slope", "profile-cosine-similarity"],
-    "pitchfork-census": ["nonzero-state-count", "states-are-mirror-pair",
-                         "index-sum", "basin-labels-resolved"],
+    "pitchfork-census": ["nonzero-state-count", "amplitudes-match-reduced",
+                         "every-reduced-state-found", "stability-split", "index-sum",
+                         "states-are-mirror-pair", "basin-labels-resolved"],
     "gsh-transcritical": ["morse-index-saddle", "amplitude-law-saddle",
                           "morse-index-attractor", "amplitude-law-attractor",
                           "amplitude-linearity", "amplitude-law-order"],
     "odd-periodic-census": ["nonzero-state-count", "amplitudes-match-reduced",
-                            "stability-split", "index-sum", "runtime-seconds"],
+                            "every-reduced-state-found", "stability-split", "index-sum",
+                            "runtime-seconds"],
     "periodic-torus": ["max-residual", "norm-spread", "neutral-mode-count",
                        "no-positive-eigenvalue"],
     "slaved-mode": ["slaved-third-harmonic-ratio"],
@@ -83,3 +93,59 @@ def test_c10_reduced_shadowing(tmp_path):
 
 def test_c11_infrastructure(tmp_path):
     _run("infrastructure", tmp_path)
+
+
+def _planted_census(name, tmp_path, monkeypatch, plant):
+    """The census scenario at jobs = 1 with find_all's states passed through plant."""
+    real = harness.find_all
+    monkeypatch.setattr(harness, "find_all", lambda *a, **k: plant(real(*a, **k)))
+    cfg = default_config(name)
+    cfg.jobs = 1
+    report = run_suite(name, cfg, out_dir=str(tmp_path))
+    assert [c.name for c in report.checks] == CHECK_NAMES[name]
+    return {c.name: c for c in report.checks}
+
+
+def test_pitchfork_census_reports_every_check_with_one_state(tmp_path, monkeypatch):
+    checks = _planted_census("pitchfork-census", tmp_path, monkeypatch,
+                             lambda states: [s for s in states if s.state.coeff(1) >= 0])
+    assert checks["nonzero-state-count"].observed == 1
+    assert checks["every-reduced-state-found"].observed == 1
+    assert math.isnan(checks["states-are-mirror-pair"].observed)
+    assert checks["amplitudes-match-reduced"].passed  # the one state has its class
+    assert {n for n, c in checks.items() if not c.passed} == {
+        "nonzero-state-count", "every-reduced-state-found", "stability-split",
+        "index-sum", "states-are-mirror-pair", "basin-labels-resolved"}
+
+
+def _roll(states, axis):
+    """The census state that is a single roll on critical mode `axis` (0 or 1)."""
+    other = principal(states[0].state.domain).critical_modes[1 - axis]
+    return next(s for s in states
+                if s.norm > 1e-6 and abs(s.state.coeff(other)) < 1e-6 * s.norm)
+
+
+def _swap_roll(states):
+    """-(roll on the first mode) in place of the roll on the second."""
+    x, y = _roll(states, 0), _roll(states, 1)
+    return [dataclasses.replace(x, state=-1.0 * x.state) if s is y else s for s in states]
+
+
+def _extra_state(states):
+    """An extra state at half the amplitudes of a mixed one, which has no class."""
+    mixed = next(s for s in states if s.morse_index == 1)
+    return states + [dataclasses.replace(mixed, state=0.5 * mixed.state)]
+
+
+@pytest.mark.parametrize("plant, observed, failed", [
+    (_swap_roll, {"every-reduced-state-found": 1, "amplitudes-match-reduced": 1.0},
+     {"every-reduced-state-found", "amplitudes-match-reduced"}),
+    (_extra_state, {"nonzero-state-count": 5, "amplitudes-match-reduced": math.inf},
+     {"nonzero-state-count", "amplitudes-match-reduced", "stability-split", "index-sum"}),
+], ids=["roll-swapped-for-mirror", "extra-state"])
+def test_odd_periodic_census_fails_on_planted_states(tmp_path, monkeypatch, plant,
+                                                     observed, failed):
+    checks = _planted_census("odd-periodic-census", tmp_path, monkeypatch, plant)
+    assert {n for n, c in checks.items() if not c.passed} == failed
+    for name, want in observed.items():
+        assert checks[name].observed == pytest.approx(want, abs=0.01)
