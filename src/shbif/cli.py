@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .harness import (
     SCENARIOS,
     ExperimentConfig,
     default_config,
+    default_jobs,
     parse_config,
     run_suite,
     write_csv,
@@ -55,7 +55,7 @@ def _overlay(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def _base_config(args, **defaults) -> ExperimentConfig:
     """The subcommand's defaults, overlaid by --config and the flags."""
-    return _overlay(ExperimentConfig(jobs=os.cpu_count() or 1, **defaults), args)
+    return _overlay(ExperimentConfig(jobs=default_jobs(), **defaults), args)
 
 
 def _seed_field(cfg: ExperimentConfig, args):

@@ -128,6 +128,12 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
+def default_jobs() -> int:
+    """The default find_all pool size: two workers, or one when this process may use one CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(2, cpus or 1)
+
+
 _KEY_ALIASES = {"lambda": "lam"}
 # each key's value type, from its field's annotation (int | None reads as int)
 _KEY_TYPES = {name: (typing.get_args(hint) or (hint,))[0]
@@ -756,7 +762,7 @@ SCENARIOS = {
                           dict(_DIRICHLET_16, lam=8.9, mu=1.0)),
     "odd-periodic-census": (_scenario_odd_periodic_census,
                             dict(_ODD_PERIODIC_2D, grid_n=256, band=64, lam=0.2,
-                                 n_seeds=100, jobs=min(2, os.cpu_count() or 1))),
+                                 n_seeds=100, jobs=default_jobs())),
     "periodic-torus": (_scenario_periodic_torus,
                        dict(dim=1, bc="periodic", length=2 * math.pi, grid_n=512,
                             band=128, lam=0.2)),

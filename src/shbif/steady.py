@@ -40,11 +40,15 @@ from the leading eigenvectors of the dense Jacobian on the coarsest level
 when that level holds at most DENSE_LIMIT modes.  Only the full band
 decides: a state is accepted when its full-band residual meets
 NEWTON_TOL, and every reported eigenvalue comes from a full-band LOBPCG,
-dense or Weyl evaluation.  The census gives each pool worker one batch of
-seeds, which takes its steps below the full band in lockstep.  The
-full-band solve stays per seed: near onset it is a single residual with
-no Newton step, and a batched band-64 synthesis measured slower per row
-than single ones.
+dense or Weyl evaluation.  The census draws its seeds on the coarsest
+level and gives each pool worker one batch of them, which takes its steps
+below the full band in lockstep.  After each of those levels the rows
+within plain distance DEDUP_TOL of an earlier row are merged into it, and
+the parent merges once more across batches, so each distinct state moves
+up once: on the 2-d census box 100 seeds leave 9 rows for the band-16
+level and 9 full-band solves.  The full-band solve runs per row: near
+onset it is a single residual with no Newton step, and a batched band-64
+synthesis measured slower per row than single ones.
 """
 
 from __future__ import annotations
@@ -72,10 +76,11 @@ from .spectral import (
     Domain,
     SpectralField,
     _product_maps,
+    _shared_slots,
     cube,
     inner,
+    lattice_symbol,
     max_translation_inner,
-    random_field,
     resample,
 )
 
@@ -429,11 +434,11 @@ def stability(s: SteadyState) -> SteadyState:
         else:
             window = int(np.count_nonzero(jac.beta > -(w + NEUTRAL_TOL)))
             evals = _lobpcg(jac, max(N_EIGS, window))
-    neutral = tuple(float(e) for e in evals if periodic and abs(e) < NEUTRAL_TOL)
-    effective = [float(e) for e in evals if not (periodic and abs(e) < NEUTRAL_TOL)]
-    morse = sum(1 for e in effective if e > POS_TOL)
-    leading = tuple(sorted((float(e) for e in evals), reverse=True)[:N_EIGS])
-    return replace(s, leading_eigs=leading, neutral_eigs=neutral, morse_index=morse)
+    is_neutral = (np.abs(evals) < NEUTRAL_TOL) & periodic
+    morse = int(np.count_nonzero(evals[~is_neutral] > POS_TOL))
+    leading = tuple(np.sort(evals)[::-1][:N_EIGS].tolist())
+    return replace(s, leading_eigs=leading, neutral_eigs=tuple(evals[is_neutral].tolist()),
+                   morse_index=morse)
 
 
 # ---------------------------------------------------------------------------
@@ -473,31 +478,42 @@ def orbit_distance(a: SpectralField, b: SpectralField, p: Params,
     return best
 
 
-def _solve_seeds(task) -> list[SteadyState | None]:
-    """The full-band states of one batch of seeds, None where a seed fails.
+def _merge(x: np.ndarray) -> np.ndarray:
+    """The rows of x, shape (m, n), at plain distance >= DEDUP_TOL from every earlier one kept."""
+    keep: list[int] = []
+    for r, xr in enumerate(x):
+        if np.linalg.norm(x[keep] - xr, axis=1).min(initial=np.inf) >= DEDUP_TOL:
+            keep.append(r)
+    return x[keep]
+
+
+def _coarse_solves(task) -> np.ndarray:
+    """The distinct coarse solutions of one batch of seeds, zero-padded to the full band.
 
     The batch is a SpectralField with one seed per row, on _levels(domain)[0].
-    On each level below the full band the live seeds take their Newton
-    steps in lockstep, and those that converge or collapse are zero-padded
-    to the next level as one batch; a seed that fails on any level fails.
-    On the full band every seed is solved alone.
+    On each level below the full band the live rows take their Newton steps
+    in lockstep; those that converge or collapse are merged by _merge and
+    zero-padded to the next level as one batch, and a row that fails there
+    is dropped.  On a one-level domain the seeds are returned as drawn.
     """
     seeds, domain, p = task
     levels = _levels(domain)
-    rows, x = np.arange(len(seeds.data)), seeds.data
+    x = seeds.data
     for level, finer in zip(levels, levels[1:]):
-        if not rows.size:
-            break  # every seed failed on a coarser level
-        solved = _newton_rows(SpectralField(level, x), p)
-        ok = [i for i, s in enumerate(solved) if not isinstance(s, Exception)]
-        rows = rows[ok]
-        x = resample(np.array([solved[i].state.data for i in ok]).reshape(-1, x.shape[1]),
-                     level, finer)
-    out = [None] * len(seeds.data)
-    for r, xr in zip(rows, x):
-        with contextlib.suppress(NoConvergence, SingularJacobian):
-            out[r] = newton(SpectralField(domain, xr), p)
-    return out
+        if len(x):  # every row may have failed on a coarser level
+            solved = _newton_rows(SpectralField(level, x), p)
+            x = _merge(np.array([s.state.data for s in solved if not isinstance(s, Exception)])
+                       .reshape(-1, x.shape[1]))
+        x = resample(x, level, finer)
+    return x
+
+
+def _full_band(task) -> SteadyState | None:
+    """newton from one full-band start, None where it fails."""
+    x, domain, p = task
+    with contextlib.suppress(NoConvergence, SingularJacobian):
+        return newton(SpectralField(domain, x), p)
+    return None
 
 
 def _order_key(s: SteadyState) -> tuple:
@@ -512,6 +528,30 @@ def _order_key(s: SteadyState) -> tuple:
     return round(s.norm, 9), tuple(zip(i.tolist(), (-r[i]).tolist()))
 
 
+def _seeds(domain: Domain, p: Params, n_seeds: int, rng_seed: int) -> SpectralField:
+    """find_all's seeds, one per row, on the coarsest of _levels(domain).
+
+    Each row draws a critical-mode amplitude per critical eigenfunction and
+    then random_field's full-band noise, which keeps the rng stream of a
+    full-band draw; only the modes the coarsest band shares with domain are
+    kept, so the rows equal the full-band seeds restricted to that band.
+    """
+    seed_scale = default_seed_scale(domain, p)
+    rng = np.random.default_rng(rng_seed)
+    start = _levels(domain)[0]
+    crit = [eigenfunction(start, m) for m in principal(domain).critical_modes]
+    i, j = _shared_slots(domain, start)
+    nflat, damp = len(lattice_symbol(domain)), 1.0 + lattice_symbol(domain)[i]
+    seeds = np.empty((n_seeds, len(j)))
+    for row in seeds:
+        f = SpectralField.zeros(start)
+        for phi in crit:
+            f = f + float(rng.normal(0.0, seed_scale)) * phi
+        row[:] = f.data
+        row[j] += rng.standard_normal(nflat)[i] * (0.01 * seed_scale) / damp
+    return SpectralField(start, seeds)
+
+
 def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0,
              jobs: int = 1, dedup: str = "symmetry") -> list[SteadyState]:
     """Newton from random critical-mode seeds, deduplicated.
@@ -520,38 +560,30 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
     noise on the slaved modes.  dedup 'symmetry' identifies states equal up
     to a global sign flip (mu = 0) and, on periodic domains, shifts by whole
     grid points only, so one translation circle yields many states (ROADMAP
-    items 10, 12); 'exact' keeps every distinct state.  Each seed is drawn
-    onto the coarsest of _levels(domain) and solved on each level in turn,
-    from the zero-padded result of the one below; only the full-band solve
-    accepts a state (residual <= NEWTON_TOL), and a failure on any level
-    fails the seed.  This pays off when the states are resolved within the
-    coarse bands, as near onset.  The seeds are split into one batch per
-    worker, whose solves below the full band take their Newton steps in
-    lockstep.  Every kept state is returned with its stability.  With jobs
-    > 1 one fork pool of that size runs the batches and then the stability
-    calls.
+    items 10, 12); 'exact' keeps every distinct state.  The seeds are drawn
+    on the coarsest of _levels(domain) (_seeds) and split into one batch per
+    worker.  On each level below the full band a batch takes its Newton
+    steps in lockstep, a row that fails there is dropped, and the rest are
+    merged (_merge) and zero-padded to the next level; the parent merges the
+    batches' rows once more.  Only the full-band solve of each distinct row
+    accepts a state (residual <= NEWTON_TOL).  This pays off when the states
+    are resolved within the coarse bands, as near onset.  On a one-level
+    domain every seed gets its own full-band solve.  Every kept state is
+    returned with its stability.  With jobs > 1 one fork pool of that size
+    runs the batches, the full-band solves and then the stability calls.
     """
     check_params(domain, p)
-    seed_scale = default_seed_scale(domain, p)
-    summ = principal(domain)
-    rng = np.random.default_rng(rng_seed)
-    crit = [eigenfunction(domain, m) for m in summ.critical_modes]
-    start = _levels(domain)[0]  # where the seeds take their first steps
-    seeds = []
-    for _ in range(n_seeds):
-        f = SpectralField.zeros(domain)
-        for phi in crit:
-            f = f + float(rng.normal(0.0, seed_scale)) * phi
-        f = f + random_field(domain, rng, 0.01 * seed_scale, smooth=True)
-        # row by row: one full-band batch of seeds raised the census's peak RSS
-        seeds.append(resample(f.data, domain, start))
-    batches = [SpectralField(start, b) for b in np.array_split(np.array(seeds), jobs) if len(b)]
+    seeds = _seeds(domain, p, n_seeds, rng_seed)
+    batches = [SpectralField(seeds.domain, b) for b in np.array_split(seeds.data, jobs)]
     with contextlib.ExitStack() as stack:
         run = map
         if jobs > 1:
             run = stack.enter_context(multiprocessing.get_context("fork").Pool(jobs)).map
-        results = run(_solve_seeds, [(b, domain, p) for b in batches])
-        states = sorted((s for batch in results for s in batch if s is not None), key=_order_key)
+        x = np.concatenate(list(run(_coarse_solves, [(b, domain, p) for b in batches])))
+        if seeds.domain != domain:  # on a one-level domain x holds the unsolved seeds
+            x = _merge(x)
+        states = sorted((s for s in run(_full_band, [(xr, domain, p) for xr in x])
+                         if s is not None), key=_order_key)
         kept: list[SteadyState] = []
         for s in states:
             if all(orbit_distance(s.state, k.state, p, dedup) >= DEDUP_TOL for k in kept):

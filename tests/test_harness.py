@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -318,6 +319,20 @@ def test_cli_config_jobs_line(tmp_path, monkeypatch, capsys):
     assert cli.main(["--out", str(tmp_path), "--config", str(cfgfile), "--jobs", "3"]
                     + args) == 0
     assert seen == [1, 3]
+
+
+def test_cli_default_jobs_is_the_census_rows(monkeypatch):
+    parser = cli.build_parser()
+    commands = (["steady"], ["sweep", "--lambda-min", "0", "--lambda-max", "1"])
+    census = harness.default_config("odd-periodic-census").jobs
+    for command in commands:
+        assert cli._base_config(parser.parse_args(command)).jobs == census
+    # many CPUs give two workers, not one per CPU; one usable CPU gives one
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for cpus, jobs in ((range(64), 2), ({0}, 1)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(c), raising=False)
+        for command in commands:
+            assert cli._base_config(parser.parse_args(command)).jobs == jobs
 
 
 def test_cli_out_dir_from_config_unless_out_given(tmp_path, monkeypatch, capsys):

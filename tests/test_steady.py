@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from shbif import steady
 from shbif.dynamics import Params
 from shbif.errors import DegenerateState, EigsNoConvergence, NoConvergence, SingularJacobian
-from shbif.linear_analysis import eigenfunction, growth_array, growth_rate
+from shbif.linear_analysis import eigenfunction, growth_array, growth_rate, principal
 from shbif.spectral import (
     BoundaryCondition,
     Domain,
@@ -20,6 +20,7 @@ from shbif.spectral import (
     cube,
     inner,
     random_field,
+    resample,
     to_grid,
     translate,
     triple,
@@ -32,6 +33,7 @@ from shbif.steady import (
     _residual,
     _solve_newton_system,
     _weyl_bound,
+    default_seed_scale,
     find_all,
     index_sum,
     jacobian_apply,
@@ -185,6 +187,38 @@ def test_stability_2d_rolls_and_mixed():
     assert stability(mixed).morse_index == 1
 
 
+def _bookkeeping_by_loops(evals, periodic):
+    """stability's leading, neutral and Morse index as plain loops: the reference."""
+    neutral = tuple(float(e) for e in evals if periodic and abs(e) < steady.NEUTRAL_TOL)
+    effective = [float(e) for e in evals if not (periodic and abs(e) < steady.NEUTRAL_TOL)]
+    morse = sum(1 for e in effective if e > steady.POS_TOL)
+    leading = tuple(sorted((float(e) for e in evals), reverse=True)[:steady.N_EIGS])
+    return leading, neutral, morse
+
+
+@pytest.mark.parametrize("case", ["periodic-roll", "dirichlet-pitchfork", "census-box-trivial"])
+def test_stability_bookkeeping_matches_loops(case):
+    if case == "periodic-roll":  # dense, one neutral translation mode
+        d, p = Domain.make(1, 2 * math.pi, "periodic", grid_n=64, band=16), Params(0.2)
+        s = newton(math.sqrt(2 * d.length[0] * 0.2 / 3) * eigenfunction(d, ("sin", (1,))), p)
+    elif case == "dirichlet-pitchfork":  # dense
+        d, p = D, P95
+        s = newton(0.8 * eigenfunction(D, 1), p)
+    else:  # the sorted growth rates of all 8320 modes
+        d, p = Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=256, band=64), Params(0.2)
+        s = SteadyState(SpectralField.zeros(d), 0.0, p.lam, p.mu)
+    if s.norm > 0:
+        evals = np.linalg.eigvalsh(steady._dense(_Jacobian(s.state, p)))
+    else:
+        evals = np.sort(growth_array(d, p.lam))
+    out = stability(s)
+    periodic = d.bc is BoundaryCondition.PERIODIC
+    assert (out.leading_eigs, out.neutral_eigs, out.morse_index) == \
+        _bookkeeping_by_loops(evals, periodic)
+    assert all(type(e) is float for e in out.leading_eigs + out.neutral_eigs)
+    assert type(out.morse_index) is int
+
+
 def test_sign_equivariance():
     s = newton(0.8 * eigenfunction(D, 1), P95)
     mirrored = SpectralField(D, -s.state.data)
@@ -222,6 +256,12 @@ def test_find_all_subcritical_only_trivial():
     assert states[0].norm <= 1e-8
 
 
+@pytest.mark.parametrize("n_seeds,jobs", [(0, 1), (1, 2)])
+def test_find_all_with_fewer_seeds_than_workers(n_seeds, jobs):
+    states = find_all(D, P95, n_seeds=n_seeds, rng_seed=3, jobs=jobs)
+    assert len(states) == n_seeds
+
+
 def test_find_all_seed_count_stability():
     a = find_all(D, P95, n_seeds=100, rng_seed=11, dedup="exact")
     b = find_all(D, P95, n_seeds=200, rng_seed=12, dedup="exact")
@@ -248,6 +288,53 @@ def test_find_all_pool_matches_serial():
         assert np.array_equal(a.state.data, b.state.data)
         assert a.leading_eigs == b.leading_eigs
         assert a.morse_index == b.morse_index
+
+
+@pytest.mark.parametrize("d,p,n_levels", [
+    (Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=256, band=64), Params(0.2), 3),
+    (D, P95, 2),
+    (Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=32, band=8), Params(0.2), 1),
+], ids=["census-box", "dirichlet-band16", "one-level"])
+def test_seeds_are_the_full_band_draw_restricted(d, p, n_levels):
+    # the census sample: the full-band draw of critical amplitudes and
+    # random_field noise, cut down to the coarsest band
+    start = steady._levels(d)[0]
+    assert len(steady._levels(d)) == n_levels
+    scale = default_seed_scale(d, p)
+    rng = np.random.default_rng(3)
+    full = []
+    for _ in range(7):
+        f = SpectralField.zeros(d)
+        for m in principal(d).critical_modes:
+            f = f + float(rng.normal(0.0, scale)) * eigenfunction(d, m)
+        full.append((f + random_field(d, rng, 0.01 * scale, smooth=True)).data)
+    seeds = steady._seeds(d, p, 7, 3)
+    assert seeds.domain == start
+    assert np.array_equal(seeds.data, resample(np.array(full), d, start))
+
+
+def test_find_all_solves_each_distinct_state_once_on_the_full_band(monkeypatch):
+    d = D2_BAND16
+    converged, full_band = [], []
+    newton_rows, newton_full = steady._newton_rows, steady.newton
+
+    def counted_rows(u, p):
+        out = newton_rows(u, p)
+        if u.domain != d:
+            converged.append(sum(not isinstance(s, Exception) for s in out))
+        return out
+
+    def counted_newton(u0, p):
+        full_band.append(u0.domain)
+        return newton_full(u0, p)
+
+    monkeypatch.setattr(steady, "_newton_rows", counted_rows)
+    monkeypatch.setattr(steady, "newton", counted_newton)
+    states = find_all(d, Params(0.2), n_seeds=40, rng_seed=5)
+    assert len([s for s in states if s.norm > 1e-6]) == 4
+    assert full_band == [d] * len(full_band)
+    assert len(full_band) <= 2 * 4 + 1  # every sign of each class, and zero
+    assert converged[0] >= 3 * len(full_band)
 
 
 def test_index_sum_empty_and_degenerate():
