@@ -18,7 +18,12 @@ coefficient c_K = (z_K - i y_K) / sqrt(2V) at K and its conjugate at -K,
 and gather it back from there; the real part of a transformed real field
 and its parity need no separate symmetrisation.  This layout is decoded
 here only: other modules reach it through SpectralField, the product maps,
-resample, translate and max_translation_inner.
+resample, translate, max_translation_inner and _box_symmetries.
+
+_box_symmetries tables the box's isometries as signed permutations of the
+flat vector, one row each: on Fourier boxes every permutation of axes of
+equal length and band times a reflection x_i -> L - x_i of each axis (8 on
+the square, 48 on the cube), on the dirichlet box x -> L - x (2).
 
 Nonlinear products are evaluated pointwise on a product grid sized from the
 band alone and projected back onto the retained band; they are exact there.
@@ -50,6 +55,7 @@ are zero without any transform.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -250,6 +256,43 @@ def _shared_slots(src: Domain, dst: Domain) -> tuple[np.ndarray, np.ndarray]:
     kinds = range(len(a.kinds))  # periodic cosines sit nhalf after their sines
     return _read_only(np.concatenate([i + w * a.nhalf for w in kinds]),
                       np.concatenate([j + w * b.nhalf for w in kinds]))
+
+
+@lru_cache(maxsize=DOMAIN_CACHE_SIZE)
+def _box_symmetries(domain: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """The signed permutations of the flat vector made by the box's isometries.
+
+    Returns (src, sign), int32 positions and int8 signs of shape (|G|,
+    nflat), identity first: element g maps coefficients x to sign[g] *
+    x[..., src[g]].  On Fourier boxes G is every permutation of the axes of
+    equal length and band times a reflection x_i -> L - x_i of each axis:
+    mode K reads the coefficient at R K for a signed permutation R, moved
+    back onto the half lattice, where a sine changes sign and a cosine does
+    not.  On the dirichlet box G holds x -> L - x, which maps phi_n to
+    (-1)^(n+1) phi_n.  Each g keeps the symbol and commutes with the
+    products, so J(g u) = G J(u) G^T.
+    """
+    lat = _lattice(domain)
+    if domain.is_dirichlet:
+        src = np.tile(np.arange(lat.nflat, dtype=np.int32), (2, 1))
+        sign = np.ones((2, lat.nflat), dtype=np.int8)
+        sign[1, lat.kvecs[:, 0] % 2 == 0] = -1
+        return _read_only(src, sign)
+    axes = [(domain.length[a], domain.band[a]) for a in range(domain.dim)]
+    group = [(perm, flips) for perm in itertools.permutations(range(domain.dim))
+             if all(axes[a] == axes[b] for a, b in enumerate(perm))
+             for flips in itertools.product((1, -1), repeat=domain.dim)]
+    band = np.asarray(domain.band)
+    pos = np.zeros(2 * band + 1, dtype=np.int32)  # flat position of each stored K in the band box
+    pos[tuple((lat.kvecs + band).T)] = np.arange(lat.nhalf)
+    src = np.empty((len(group), len(lat.kinds), lat.nhalf), dtype=np.int32)
+    sign = np.ones((len(group), len(lat.kinds), lat.nhalf), dtype=np.int8)
+    for g, (perm, flips) in enumerate(group):
+        k = lat.kvecs[:, perm] * flips
+        sign[g, 0] = np.sign(k[np.arange(lat.nhalf), np.argmax(k != 0, axis=1)])
+        j = pos[tuple((k * sign[g, 0, :, None] + band).T)]
+        src[g] = j + lat.nhalf * np.arange(len(lat.kinds))[:, None]  # cosines follow the sines
+    return _read_only(src.reshape(len(group), -1), sign.reshape(len(group), -1))
 
 
 def resample(x: np.ndarray, src: Domain, dst: Domain) -> np.ndarray:

@@ -36,9 +36,9 @@ solved first on the coarsest level, and each zero-padded result starts the
 solve on the next level, up to the full band.  States bifurcated from zero
 decay fast in |K|, so near onset each start is already converged; a state
 a coarse band does not resolve costs finer Newton steps.  LOBPCG starts
-from the leading eigenvectors of the dense Jacobian on the coarsest level
-when that level holds at most DENSE_LIMIT modes.  Only the full band
-decides: a state is accepted when its full-band residual meets
+from the leading eigenvectors of the dense Jacobian on the coarsest level,
+its band halved until it holds at most DENSE_LIMIT modes.  Only the full
+band decides: a state is accepted when its full-band residual meets
 NEWTON_TOL, and every reported eigenvalue comes from a full-band LOBPCG,
 dense or Weyl evaluation.  The census draws its seeds on the coarsest
 level and gives each pool worker one batch of them, which takes its steps
@@ -49,6 +49,11 @@ up once: on the 2-d census box 100 seeds leave 9 rows for the band-16
 level and 9 full-band solves.  The full-band solve runs per row: near
 onset it is a single residual with no Newton step, and a batched band-64
 synthesis measured slower per row than single ones.
+
+After the dedup find_all runs stability once per box-symmetry orbit
+(_representatives): a state within the Weyl bound WEYL_TOL of a signed
+image of an earlier one under spectral._box_symmetries takes its
+eigenvalues, so on the 2-d census box 2 LOBPCG passes serve 4 states.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ import scipy.sparse.linalg as spla
 
 from .dynamics import Params, check_params
 from .errors import (
+    BandTooSmall,
     DegenerateState,
     EigsNoConvergence,
     NoConvergence,
@@ -75,6 +81,7 @@ from .spectral import (
     BoundaryCondition,
     Domain,
     SpectralField,
+    _box_symmetries,
     _product_maps,
     _shared_slots,
     cube,
@@ -358,20 +365,39 @@ def _dense(jac: _Jacobian) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _start_level(domain: Domain) -> Domain | None:
+    """Where _lobpcg_start diagonalises: the coarsest of _levels(domain), its
+    band halved per axis until it holds at most DENSE_LIMIT modes, or None
+    when that band misses the critical shell.  Halving keeps the cubic cost
+    of the dense eigh small: on the 4 pi band-24 box a band-8 start takes
+    4-5 LOBPCG steps, and band 13, the largest that fits, takes 3 at more
+    than twice the time."""
+    level = _levels(domain)[0]
+    while len(lattice_symbol(level)) > DENSE_LIMIT:
+        half = replace(level, band=tuple(-(-b // 2) for b in level.band))
+        if half == level:
+            return None
+        level = half
+    with contextlib.suppress(BandTooSmall):
+        principal(level)
+        return level
+    return None
+
+
 def _lobpcg_start(jac: _Jacobian, k: int) -> np.ndarray:
     """Initial LOBPCG block of k columns for jac.
 
-    Nested iteration (Knyazev, SISC 23, 2001): when _levels' coarsest band,
-    which keeps the critical shell and the modes near it, holds k to
-    DENSE_LIMIT modes, the k leading eigenvectors of the dense Jacobian
-    there, zero-padded to the full band.  Otherwise unit vectors on the
-    least-damped modes plus a little fixed noise.
+    Nested iteration (Knyazev, SISC 23, 2001): the k leading eigenvectors of
+    the dense Jacobian on _start_level, which keeps the critical shell and
+    the modes near it, zero-padded to the full band.  Unit vectors on the
+    least-damped modes plus a little fixed noise when that level has fewer
+    than k modes or there is none.
     """
-    coarse = _levels(jac.domain)[0]
-    u = resample(jac.u.data, jac.domain, coarse)
-    if k <= len(u) <= DENSE_LIMIT:
-        vecs = np.linalg.eigh(_dense(_Jacobian(SpectralField(coarse, u), jac.p)))[1][:, -k:]
-        return resample(vecs.T, coarse, jac.domain).T
+    level = _start_level(jac.domain)
+    if level is not None and k <= len(lattice_symbol(level)):
+        u = resample(jac.u.data, jac.domain, level)
+        vecs = np.linalg.eigh(_dense(_Jacobian(SpectralField(level, u), jac.p)))[1][:, -k:]
+        return resample(vecs.T, level, jac.domain).T
     x0 = np.zeros((jac.n, k))
     x0[np.argsort(-jac.beta)[:k], np.arange(k)] = 1.0
     return x0 + 1e-3 * np.random.default_rng(0).standard_normal(x0.shape)
@@ -396,15 +422,19 @@ def _lobpcg(jac: _Jacobian, k: int) -> np.ndarray:
     return np.sort(evals)
 
 
+def _sup_bound(x: np.ndarray, domain: Domain) -> np.ndarray:
+    """sqrt(2 / V) |x|_1 over the last axis: every basis function is bounded
+    by sqrt(2 / V), so this bounds sup |u| of the coefficients x."""
+    return math.sqrt(2.0 / domain.volume) * np.abs(x).sum(axis=-1)
+
+
 def _weyl_bound(u: SpectralField, mu: float) -> float:
     """Bound on the operator norm of J(u) - diag(beta) from u's coefficients.
 
     That difference projects multiplication by 2 mu u - 3 u^2, so its norm
-    is at most 3 s^2 + 2 |mu| s with s = sup |u|.  Every basis function is
-    bounded by sqrt(2 / V), so s <= sqrt(2 / V) |u|_1, the l1 norm of the
-    coefficients.
+    is at most 3 s^2 + 2 |mu| s with s = sup |u| <= _sup_bound(u).
     """
-    sup = math.sqrt(2.0 / u.domain.volume) * float(np.abs(u.data).sum())
+    sup = float(_sup_bound(u.data, u.domain))
     return 3.0 * sup * sup + 2.0 * abs(mu) * sup
 
 
@@ -421,7 +451,8 @@ def stability(s: SteadyState) -> SteadyState:
     where m counts the beta above -(w + NEUTRAL_TOL): the (k+1)-th
     eigenvalue then lies at or below -NEUTRAL_TOL, so every positive and
     every neutral eigenvalue is among the k.  A failed LOBPCG raises
-    EigsNoConvergence.
+    EigsNoConvergence.  find_all calls this once per box-symmetry orbit
+    (_representatives); the other states of an orbit copy the result.
     """
     periodic = s.state.domain.bc is BoundaryCondition.PERIODIC
     w = _weyl_bound(s.state, s.mu)
@@ -552,6 +583,37 @@ def _seeds(domain: Domain, p: Params, n_seeds: int, rng_seed: int) -> SpectralFi
     return SpectralField(start, seeds)
 
 
+def _representatives(states: list[SteadyState], p: Params) -> list[int]:
+    """Per state, the first earlier representative it is a box-symmetry image of, else itself.
+
+    s is an image of r when an element g of _box_symmetries and a sign t
+    (+-1 at mu = 0, +1 otherwise) give w = (3 (s_r + s_s) + 2 |mu|) s_D
+    < WEYL_TOL, where D = s - t g r and each s_* is the _sup_bound of its
+    coefficients.  J(t g r) = G J(r) G^T has the spectrum of J(r), and w
+    bounds |J(s) - J(t g r)|, so by Weyl's inequality the eigenvalues of
+    J(s) lie within w of those of J(r).
+    """
+    if not states:
+        return []
+    d = states[0].state.domain
+    src, sign = _box_symmetries(d)
+    x = [s.state.data for s in states]
+    sup = [float(_sup_bound(xs, d)) for xs in x]
+    ts = (1.0, -1.0) if p.mu == 0.0 else (1.0,)
+    reps: list[int] = []
+    for i, xs in enumerate(x):
+        reps.append(i)
+        for r in range(i):
+            scale = 3.0 * (sup[r] + sup[i]) + 2.0 * abs(p.mu)
+            # every g keeps the l1 norm, so s_D >= |s_s - s_r|: a cheap test first
+            if (reps[r] == r and scale * abs(sup[i] - sup[r]) < WEYL_TOL
+                    and any(scale * _sup_bound(xs - t * g * x[r][j], d) < WEYL_TOL
+                            for j, g in zip(src, sign) for t in ts)):
+                reps[i] = r
+                break
+    return reps
+
+
 def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0,
              jobs: int = 1, dedup: str = "symmetry") -> list[SteadyState]:
     """Newton from random critical-mode seeds, deduplicated.
@@ -569,8 +631,11 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
     accepts a state (residual <= NEWTON_TOL).  This pays off when the states
     are resolved within the coarse bands, as near onset.  On a one-level
     domain every seed gets its own full-band solve.  Every kept state is
-    returned with its stability.  With jobs > 1 one fork pool of that size
-    runs the batches, the full-band solves and then the stability calls.
+    returned with its stability, run once per box-symmetry orbit: a state
+    that _representatives matches to an earlier one keeps its own state and
+    residual and takes that one's leading_eigs, neutral_eigs and morse_index.  With jobs > 1 one
+    fork pool of that size runs the batches, the full-band solves and then
+    the representatives' stability calls.
     """
     check_params(domain, p)
     seeds = _seeds(domain, p, n_seeds, rng_seed)
@@ -588,8 +653,10 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
         for s in states:
             if all(orbit_distance(s.state, k.state, p, dedup) >= DEDUP_TOL for k in kept):
                 kept.append(s)
-        kept = list(run(stability, kept))
-    return kept
+        reps = _representatives(kept, p)
+        first = sorted(set(reps))
+        solved = dict(zip(first, run(stability, [kept[r] for r in first])))
+    return [replace(solved[r], state=s.state, residual=s.residual) for s, r in zip(kept, reps)]
 
 
 def index_sum(states: list[SteadyState]) -> int:

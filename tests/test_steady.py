@@ -1,6 +1,7 @@
 """Newton solves, stability and census."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from shbif.spectral import (
     BoundaryCondition,
     Domain,
     SpectralField,
+    _box_symmetries,
     cube,
     inner,
+    lattice_symbol,
     random_field,
     resample,
     to_grid,
@@ -226,6 +229,85 @@ def test_sign_equivariance():
     e1 = stability(s).leading_eigs
     e2 = stability(SteadyState(mirrored, s.residual, 9.5, 0.0)).leading_eigs
     assert_allclose(e1, e2, atol=1e-8)
+
+
+CENSUS_BOX = Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=256, band=64)
+
+
+@pytest.mark.parametrize("d,order", [
+    (Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=32, band=8), 8),
+    (Domain.make(3, 2 * math.pi, "odd-periodic", grid_n=16, band=4), 48),
+    (Domain.make(2, (2 * math.pi, 4 * math.pi), "odd-periodic", grid_n=32, band=8), 4),
+    (D, 2),
+], ids=["square", "cube", "unequal-lengths", "dirichlet"])
+def test_box_symmetry_group_order(d, order):
+    src, sign = _box_symmetries(d)
+    assert src.shape == sign.shape == (order, len(lattice_symbol(d)))
+    assert np.array_equal(src[0], np.arange(src.shape[1])) and np.all(sign[0] == 1.0)
+    # the table is a group: closed under composition, every element distinct
+    x = np.arange(1.0, src.shape[1] + 1)
+    table = {tuple(g * x[i]) for i, g in zip(src, sign)}
+    assert len(table) == order
+    assert all(tuple(h * (g * x[i])[j]) in table
+               for i, g in zip(src, sign) for j, h in zip(src, sign))
+
+
+@pytest.mark.parametrize("d,p", [
+    (Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=32, band=8), Params(0.2)),
+    (Domain.make(3, 2 * math.pi, "odd-periodic", grid_n=16, band=4), Params(0.2)),
+    (Domain.make(2, 5.0, "periodic", grid_n=32, band=8), Params(0.2)),
+    (Domain.make(3, 2 * math.pi, "periodic", grid_n=16, band=4), Params(0.2)),
+    (D, Params(9.4, 0.3)),
+], ids=["odd-periodic-2d", "odd-periodic-3d", "periodic-2d", "periodic-3d", "dirichlet-mu"])
+def test_box_symmetries_commute_with_the_equation(d, p, rng):
+    u = random_field(d, rng, 0.6)
+    cu, fu = cube(u).data, residual(u, p).data
+    for i, g in zip(*_box_symmetries(d)):
+        gu = SpectralField(d, g * u.data[i])
+        assert np.array_equal(lattice_symbol(d)[i], lattice_symbol(d))
+        assert gu.norm() == pytest.approx(u.norm(), rel=1e-15)
+        assert np.abs(cube(gu).data - g * cu[i]).max() <= 1e-12
+        assert np.abs(residual(gu, p).data - g * fu[i]).max() <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def census_states():
+    return find_all(CENSUS_BOX, Params(0.2), n_seeds=100, rng_seed=3)
+
+
+def test_find_all_shares_stability_across_box_images(monkeypatch):
+    p = Params(0.2)
+    calls = _count_lobpcg_calls(monkeypatch)
+    states = find_all(CENSUS_BOX, p, n_seeds=100, rng_seed=3)
+    nz = [s for s in states if s.norm > 1e-6]
+    assert len(nz) == 4 and len(calls) == 2  # rolls in x and y, and two mirror squares
+    reps = steady._representatives(states, p)
+    assert sorted(set(reps)) == [0, 1, 3]
+    for i, (s, r) in enumerate(zip(states, reps)):
+        if r == i:
+            continue
+        assert (s.leading_eigs, s.neutral_eigs, s.morse_index) == \
+            (states[r].leading_eigs, states[r].neutral_eigs, states[r].morse_index)
+        direct = stability(replace(s, leading_eigs=None, neutral_eigs=None, morse_index=None))
+        assert (direct.morse_index, len(direct.neutral_eigs)) == (s.morse_index,
+                                                                    len(s.neutral_eigs))
+        assert_allclose(s.leading_eigs, direct.leading_eigs, rtol=0, atol=1e-10)
+
+
+def test_perturbed_image_gets_its_own_eigensolve(census_states):
+    p = Params(0.2)
+    reps = steady._representatives(census_states, p)
+    i = next(i for i, r in enumerate(reps) if r != i)
+    moved = list(census_states)
+    moved[i] = replace(moved[i], state=moved[i].state + 1e-9 * eigenfunction(CENSUS_BOX, (1, 2)))
+    assert steady._representatives(moved, p) == reps[:i] + [i] + reps[i + 1:]
+
+
+def test_only_mu_zero_shares_across_a_sign_flip():
+    u = newton(0.8 * eigenfunction(D, 1), P95)
+    states = [u, replace(u, state=-u.state)]
+    assert steady._representatives(states, P95) == [0, 0]
+    assert steady._representatives(states, Params(9.5, 0.3)) == [0, 1]
 
 
 def test_translation_equivariance_periodic():
@@ -630,21 +712,35 @@ def test_weyl_bound_holds_for_the_dense_nonlinear_part(domain, p, rng):
 
 @pytest.mark.parametrize("d,lam", [
     (D2_BAND16, 0.2),
-    (Domain.make(2, 4 * math.pi, "odd-periodic", grid_n=64, band=24), 0.3),  # K_c = 2
+    # K_c = 2: the coarsest level has band 16, 544 modes, so the dense start
+    # runs on its half
+    (Domain.make(2, 4 * math.pi, "odd-periodic", grid_n=64, band=24), 0.3),
 ], ids=["2pi-band16", "4pi-band24"])
 def test_warm_started_lobpcg_matches_cold_start(d, lam, monkeypatch):
+    assert steady._start_level(d).band == (8, 8)
     states = find_all(d, Params(lam), n_seeds=20)
     calls = _count_lobpcg_calls(monkeypatch)
+    steps, real = [], spla.lobpcg
+
+    def recorded(*args, **kwargs):
+        evals, vecs, history = real(*args, retResidualNormsHistory=True, **kwargs)
+        steps.append(len(history))
+        return evals, vecs
+
+    monkeypatch.setattr(steady.spla, "lobpcg", recorded)
     warm = [stability(s) for s in states if s.norm > 1e-6]
     assert {s.morse_index for s in warm} == {0, 1}
     assert [band for band, _ in calls] == [d.band] * len(warm)  # one full-band pass each
-    monkeypatch.setattr(steady, "_levels", lambda domain: [domain])
+    assert max(steps) <= 6
+    monkeypatch.setattr(steady, "_start_level", lambda domain: None)  # unit vectors
     calls.clear()
+    steps.clear()
     cold = [stability(s) for s in states if s.norm > 1e-6]
     assert {band for band, _ in calls} == {d.band}
+    assert min(steps) > 6
     for w, c in zip(warm, cold):
         assert w.morse_index == c.morse_index
-        assert_allclose(w.leading_eigs, c.leading_eigs, rtol=0, atol=1e-7)
+        assert_allclose(w.leading_eigs, c.leading_eigs, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("d,lam", [
