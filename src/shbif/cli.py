@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: eig, run, steady, sweep, reduce, verify.  Global flags --out,
---jobs, --rng-seed and --config (key=value file merged into the scenario
+--rng-seed and --config (key=value file merged into the scenario
 defaults).  Exit code 0 iff every executed check passes.
 """
 
@@ -21,7 +21,6 @@ from .harness import (
     SCENARIOS,
     ExperimentConfig,
     default_config,
-    default_jobs,
     parse_config,
     run_suite,
     write_csv,
@@ -55,7 +54,7 @@ def _overlay(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def _base_config(args, **defaults) -> ExperimentConfig:
     """The subcommand's defaults, overlaid by --config and the flags."""
-    return _overlay(ExperimentConfig(jobs=default_jobs(), **defaults), args)
+    return _overlay(ExperimentConfig(**defaults), args)
 
 
 def _seed_field(cfg: ExperimentConfig, args):
@@ -118,7 +117,7 @@ def cmd_steady(args) -> int:
     p = cfg.params()
     if cfg.n_seeds:
         states = find_all(cfg.domain(), p, n_seeds=cfg.n_seeds,
-                          rng_seed=cfg.rng_seed, jobs=cfg.jobs)
+                          rng_seed=cfg.rng_seed)
     else:
         states = [stability(newton(_seed_field(cfg, args), p))]
     docs = []
@@ -141,8 +140,7 @@ def cmd_sweep(args) -> int:
     def rows():
         for lam in np.linspace(args.lambda_min, args.lambda_max, args.steps):
             states = find_all(cfg.domain(), Params(float(lam), cfg.mu),
-                              n_seeds=cfg.n_seeds, rng_seed=cfg.rng_seed,
-                              jobs=cfg.jobs)
+                              n_seeds=cfg.n_seeds, rng_seed=cfg.rng_seed)
             for i, s in enumerate(states):
                 yield lam, i, s.norm, s.state.coeff(crit), s.morse_index
 
@@ -197,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Swift-Hohenberg bifurcation toolkit")
     ap.add_argument("--out", dest="out_dir", default=None,
                     help="output directory (default: out_dir from --config, else out)")
-    ap.add_argument("--jobs", type=int, default=None, help="worker processes")
     ap.add_argument("--rng-seed", type=int, default=None)
     ap.add_argument("--config", default=None, help="key=value config file")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -108,7 +108,6 @@ class ExperimentConfig:
     sample_every: int = 50
     n_seeds: int | None = 100  # None: `shbif steady` solves once, without a census
     rng_seed: int = 12345
-    jobs: int = 1
     out_dir: str = "out"
 
     def domain(self) -> Domain:
@@ -126,12 +125,6 @@ class ExperimentConfig:
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def default_jobs() -> int:
-    """The default find_all pool size: two workers, or one when this process may use one CPU."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(2, cpus or 1)
 
 
 _KEY_ALIASES = {"lambda": "lam"}
@@ -173,8 +166,6 @@ def _validate(cfg: ExperimentConfig):
     cfg.stepper()
     if cfg.n_seeds is not None and cfg.n_seeds < 1:
         raise RangeError("n_seeds must be >= 1")
-    if cfg.jobs < 1:
-        raise RangeError("jobs must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +218,9 @@ def _metadata(cfg: ExperimentConfig) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "platform": platform.platform(),
+        "platform": "-".join((platform.system(), platform.release(), platform.machine())),
         "cpu_count": os.cpu_count(),
         "rng_seed": cfg.rng_seed,
-        "jobs": cfg.jobs,
         "config": cfg.as_dict(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
@@ -367,7 +357,7 @@ def _census(cfg: ExperimentConfig, out: Path, dedup: str, count: int,
     d = cfg.domain()
     p = cfg.params()
     nz = [s for s in find_all(d, p, n_seeds=cfg.n_seeds, rng_seed=cfg.rng_seed,
-                              jobs=cfg.jobs, dedup=dedup) if s.norm > 1e-6]
+                              dedup=dedup) if s.norm > 1e-6]
     sys = build_reduced(d)
     signs = (1.0, -1.0) if dedup == "symmetry" and p.mu == 0.0 else (1.0,)
     classes = []
@@ -762,7 +752,7 @@ SCENARIOS = {
                           dict(_DIRICHLET_16, lam=8.9, mu=1.0)),
     "odd-periodic-census": (_scenario_odd_periodic_census,
                             dict(_ODD_PERIODIC_2D, grid_n=256, band=64, lam=0.2,
-                                 n_seeds=100, jobs=default_jobs())),
+                                 n_seeds=100)),
     "periodic-torus": (_scenario_periodic_torus,
                        dict(dim=1, bc="periodic", length=2 * math.pi, grid_n=512,
                             band=128, lam=0.2)),

@@ -41,14 +41,13 @@ its band halved until it holds at most DENSE_LIMIT modes.  Only the full
 band decides: a state is accepted when its full-band residual meets
 NEWTON_TOL, and every reported eigenvalue comes from a full-band LOBPCG,
 dense or Weyl evaluation.  The census draws its seeds on the coarsest
-level and gives each pool worker one batch of them, which takes its steps
-below the full band in lockstep.  After each of those levels the rows
-within plain distance DEDUP_TOL of an earlier row are merged into it, and
-the parent merges once more across batches, so each distinct state moves
-up once: on the 2-d census box 100 seeds leave 9 rows for the band-16
-level and 9 full-band solves.  The full-band solve runs per row: near
-onset it is a single residual with no Newton step, and a batched band-64
-synthesis measured slower per row than single ones.
+level as one batch, which takes its steps below the full band in
+lockstep.  After each of those levels the rows within plain distance
+DEDUP_TOL of an earlier row are merged into it, so each distinct state
+moves up once: on the 2-d census box 100 seeds leave 9 rows for the
+band-16 level and 9 full-band solves.  The full-band solve runs per row:
+near onset it is a single residual with no Newton step, and a batched
+band-64 synthesis measured slower per row than single ones.
 
 After the dedup find_all runs stability once per box-symmetry orbit
 (_representatives): a state within the Weyl bound WEYL_TOL of a signed
@@ -60,7 +59,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import multiprocessing
 import warnings
 from dataclasses import dataclass, replace
 
@@ -518,8 +516,8 @@ def _merge(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def _coarse_solves(task) -> np.ndarray:
-    """The distinct coarse solutions of one batch of seeds, zero-padded to the full band.
+def _coarse_solves(seeds: SpectralField, domain: Domain, p: Params) -> np.ndarray:
+    """The distinct coarse solutions of a batch of seeds, zero-padded to the full band.
 
     The batch is a SpectralField with one seed per row, on _levels(domain)[0].
     On each level below the full band the live rows take their Newton steps
@@ -527,7 +525,6 @@ def _coarse_solves(task) -> np.ndarray:
     zero-padded to the next level as one batch, and a row that fails there
     is dropped.  On a one-level domain the seeds are returned as drawn.
     """
-    seeds, domain, p = task
     levels = _levels(domain)
     x = seeds.data
     for level, finer in zip(levels, levels[1:]):
@@ -539,9 +536,8 @@ def _coarse_solves(task) -> np.ndarray:
     return x
 
 
-def _full_band(task) -> SteadyState | None:
+def _full_band(x: np.ndarray, domain: Domain, p: Params) -> SteadyState | None:
     """newton from one full-band start, None where it fails."""
-    x, domain, p = task
     with contextlib.suppress(NoConvergence, SingularJacobian):
         return newton(SpectralField(domain, x), p)
     return None
@@ -615,7 +611,7 @@ def _representatives(states: list[SteadyState], p: Params) -> list[int]:
 
 
 def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0,
-             jobs: int = 1, dedup: str = "symmetry") -> list[SteadyState]:
+             dedup: str = "symmetry") -> list[SteadyState]:
     """Newton from random critical-mode seeds, deduplicated.
 
     Seeds are random combinations of the critical eigenfunctions plus small
@@ -623,39 +619,28 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
     to a global sign flip (mu = 0) and, on periodic domains, shifts by whole
     grid points only, so one translation circle yields many states (ROADMAP
     items 10, 12); 'exact' keeps every distinct state.  The seeds are drawn
-    on the coarsest of _levels(domain) (_seeds) and split into one batch per
-    worker.  On each level below the full band a batch takes its Newton
-    steps in lockstep, a row that fails there is dropped, and the rest are
-    merged (_merge) and zero-padded to the next level; the parent merges the
-    batches' rows once more.  Only the full-band solve of each distinct row
-    accepts a state (residual <= NEWTON_TOL).  This pays off when the states
-    are resolved within the coarse bands, as near onset.  On a one-level
-    domain every seed gets its own full-band solve.  Every kept state is
-    returned with its stability, run once per box-symmetry orbit: a state
-    that _representatives matches to an earlier one keeps its own state and
-    residual and takes that one's leading_eigs, neutral_eigs and morse_index.  With jobs > 1 one
-    fork pool of that size runs the batches, the full-band solves and then
-    the representatives' stability calls.
+    on the coarsest of _levels(domain) (_seeds) as one batch.  On each level
+    below the full band the batch takes its Newton steps in lockstep, a row
+    that fails there is dropped, and the rest are merged (_merge) and
+    zero-padded to the next level, which keeps their distances.  Only the
+    full-band solve of each distinct row accepts a state (residual <=
+    NEWTON_TOL).  This pays off when the states are resolved within the
+    coarse bands, as near onset.  On a one-level domain every seed gets its
+    own full-band solve.  Every kept state is returned with its stability,
+    run once per box-symmetry orbit: a state that _representatives matches
+    to an earlier one keeps its own state and residual and takes that one's
+    leading_eigs, neutral_eigs and morse_index.
     """
     check_params(domain, p)
-    seeds = _seeds(domain, p, n_seeds, rng_seed)
-    batches = [SpectralField(seeds.domain, b) for b in np.array_split(seeds.data, jobs)]
-    with contextlib.ExitStack() as stack:
-        run = map
-        if jobs > 1:
-            run = stack.enter_context(multiprocessing.get_context("fork").Pool(jobs)).map
-        x = np.concatenate(list(run(_coarse_solves, [(b, domain, p) for b in batches])))
-        if seeds.domain != domain:  # on a one-level domain x holds the unsolved seeds
-            x = _merge(x)
-        states = sorted((s for s in run(_full_band, [(xr, domain, p) for xr in x])
-                         if s is not None), key=_order_key)
-        kept: list[SteadyState] = []
-        for s in states:
-            if all(orbit_distance(s.state, k.state, p, dedup) >= DEDUP_TOL for k in kept):
-                kept.append(s)
-        reps = _representatives(kept, p)
-        first = sorted(set(reps))
-        solved = dict(zip(first, run(stability, [kept[r] for r in first])))
+    x = _coarse_solves(_seeds(domain, p, n_seeds, rng_seed), domain, p)
+    states = sorted((s for s in (_full_band(xr, domain, p) for xr in x) if s is not None),
+                    key=_order_key)
+    kept: list[SteadyState] = []
+    for s in states:
+        if all(orbit_distance(s.state, k.state, p, dedup) >= DEDUP_TOL for k in kept):
+            kept.append(s)
+    reps = _representatives(kept, p)
+    solved = {r: stability(kept[r]) for r in sorted(set(reps))}
     return [replace(solved[r], state=s.state, residual=s.residual) for s, r in zip(kept, reps)]
 
 

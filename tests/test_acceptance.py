@@ -96,12 +96,10 @@ def test_c11_infrastructure(tmp_path):
 
 
 def _planted_census(name, tmp_path, monkeypatch, plant):
-    """The census scenario at jobs = 1 with find_all's states passed through plant."""
+    """The census scenario with find_all's states passed through plant."""
     real = harness.find_all
     monkeypatch.setattr(harness, "find_all", lambda *a, **k: plant(real(*a, **k)))
-    cfg = default_config(name)
-    cfg.jobs = 1
-    report = run_suite(name, cfg, out_dir=str(tmp_path))
+    report = run_suite(name, default_config(name), out_dir=str(tmp_path))
     assert [c.name for c in report.checks] == CHECK_NAMES[name]
     return {c.name: c for c in report.checks}
 

@@ -2,8 +2,9 @@
 
 import json
 import math
-import os
+import platform
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,6 +72,15 @@ def test_parse_config_unknown_key():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("value", ["0", "2"])
+def test_parse_config_rejects_jobs(value):
+    # find_all runs in one process, so there is no worker count to set:
+    # jobs is an unknown key whatever its value, not a range error
+    with pytest.raises(ParseError) as exc:
+        parse_config(f"dim=1\njobs={value}\n")
+    assert exc.value.line == 2
+
+
 def test_parse_config_rejects_seed_scale():
     # no scenario reads a seed scale, so the key is unknown rather than ignored
     with pytest.raises(ParseError) as exc:
@@ -97,7 +107,6 @@ def test_parse_config_bad_value():
     "dt=0\n",
     "t_end=0\n",
     "n_seeds=0\n",
-    "jobs=0\n",
 ])
 def test_parse_config_range_rules(text):
     with pytest.raises(RangeError):
@@ -109,7 +118,6 @@ def test_default_config_is_fresh(name):
     a = default_config(name)
     want = a.as_dict()
     a.rng_seed += 1
-    a.jobs += 1
     b = default_config(name)
     assert b is not a
     assert b.as_dict() == want
@@ -303,36 +311,30 @@ def test_cli_eig_bad_dim_is_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_cli_config_jobs_line(tmp_path, monkeypatch, capsys):
-    seen = []
-
-    def fake_find_all(domain, p, n_seeds, *, rng_seed, jobs):
-        seen.append(jobs)
-        return []
-
-    monkeypatch.setattr(cli, "find_all", fake_find_all)
+def test_cli_config_jobs_line(tmp_path, capsys):
+    # find_all runs in one process: a jobs= line is an unknown key, --jobs no flag
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("jobs=1\n")
     args = ["steady", "--dim", "1", "--bc", "dirichlet", "--length", str(math.pi / 2),
             "--grid", "64", "--band", "16", "--lambda", "9.5", "--nseeds", "4"]
-    assert cli.main(["--out", str(tmp_path), "--config", str(cfgfile)] + args) == 0
-    assert cli.main(["--out", str(tmp_path), "--config", str(cfgfile), "--jobs", "3"]
-                    + args) == 0
-    assert seen == [1, 3]
+    assert cli.main(["--out", str(tmp_path), "--config", str(cfgfile)] + args) == 2
+    assert "unknown key" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), "--jobs=3"] + args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs=3" in capsys.readouterr().err
 
 
-def test_cli_default_jobs_is_the_census_rows(monkeypatch):
-    parser = cli.build_parser()
-    commands = (["steady"], ["sweep", "--lambda-min", "0", "--lambda-max", "1"])
-    census = harness.default_config("odd-periodic-census").jobs
-    for command in commands:
-        assert cli._base_config(parser.parse_args(command)).jobs == census
-    # many CPUs give two workers, not one per CPU; one usable CPU gives one
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    for cpus, jobs in ((range(64), 2), ({0}, 1)):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(c), raising=False)
-        for command in commands:
-            assert cli._base_config(parser.parse_args(command)).jobs == jobs
+def test_metadata_does_not_fork(monkeypatch):
+    # platform.platform() asks `uname -p` for the processor in a child process
+    def no_fork(*args, **kwargs):
+        raise AssertionError("_metadata started a child process")
+
+    monkeypatch.setattr(subprocess, "Popen", no_fork)
+    monkeypatch.setattr(platform, "_uname_cache", None)
+    monkeypatch.setattr(platform, "_platform_cache", {})
+    meta = harness._metadata(ExperimentConfig())
+    assert meta["platform"].startswith(platform.system())
 
 
 def test_cli_out_dir_from_config_unless_out_given(tmp_path, monkeypatch, capsys):
@@ -365,7 +367,7 @@ def test_cli_seed_count_from_config_unless_flag(tmp_path, monkeypatch, capsys,
                                                 command, config, flag, want):
     seen = []
 
-    def fake_find_all(domain, p, n_seeds, *, rng_seed, jobs):
+    def fake_find_all(domain, p, n_seeds, *, rng_seed):
         seen.append(n_seeds)
         return []
 

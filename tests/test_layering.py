@@ -1,4 +1,4 @@
-"""Module structure: every import of the package sits at module level."""
+"""Module structure: every import of the package sits at module level, and none forks."""
 
 import ast
 from pathlib import Path
@@ -17,3 +17,15 @@ def test_no_function_local_imports(path):
         for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not local
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_child_processes(path):
+    # the census runs in one process; batch its work instead of forking workers
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0]
+    banned = {"multiprocessing", "subprocess", "concurrent"}
+    assert not [m for m in modules if m.split(".")[0] in banned]
