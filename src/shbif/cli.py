@@ -20,6 +20,7 @@ from .errors import ParseError, RangeError, ShbifError, UsageError
 from .harness import (
     SCENARIOS,
     ExperimentConfig,
+    _validate,
     default_config,
     parse_config,
     run_suite,
@@ -41,7 +42,7 @@ def _json_out(obj, path: Path | None):
 
 
 def _overlay(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    """cfg with --config, then the subcommand's flags, then the global flags."""
+    """cfg with --config, then the subcommand's flags, then the global flags, validated."""
     if args.config:
         cfg = parse_config(Path(args.config).read_text(), base=cfg)
     # every config key but scenario, which names verify's positional argument
@@ -49,6 +50,7 @@ def _overlay(cfg: ExperimentConfig, args) -> ExperimentConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
+    _validate(cfg)
     return cfg
 
 

@@ -45,14 +45,14 @@ level as one batch, which takes its steps below the full band in
 lockstep.  After each of those levels the rows within plain distance
 DEDUP_TOL of an earlier row are merged into it, so each distinct state
 moves up once: on the 2-d census box 100 seeds leave 9 rows for the
-band-16 level and 9 full-band solves.  The full-band solve runs per row:
-near onset it is a single residual with no Newton step, and a batched
-band-64 synthesis measured slower per row than single ones.
+band-16 level and 9 full-band solves.  The full-band solve is one newton
+per row: near onset it is a single residual with no Newton step, and
+the batched band-64 solve measured slower per row than single ones.
 
-After the dedup find_all runs stability once per box-symmetry orbit
-(_representatives): a state within the Weyl bound WEYL_TOL of a signed
-image of an earlier one under spectral._box_symmetries takes its
-eigenvalues, so on the 2-d census box 2 LOBPCG passes serve 4 states.
+find_all then passes once over its states in census order.  A state that
+_is_image of a representative so far, a signed image under
+spectral._box_symmetries within the Weyl bound WEYL_TOL, copies its
+eigenvalues; any other runs stability and becomes a representative.
 """
 
 from __future__ import annotations
@@ -449,8 +449,8 @@ def stability(s: SteadyState) -> SteadyState:
     where m counts the beta above -(w + NEUTRAL_TOL): the (k+1)-th
     eigenvalue then lies at or below -NEUTRAL_TOL, so every positive and
     every neutral eigenvalue is among the k.  A failed LOBPCG raises
-    EigsNoConvergence.  find_all calls this once per box-symmetry orbit
-    (_representatives); the other states of an orbit copy the result.
+    EigsNoConvergence.  find_all calls this once per box-symmetry orbit, on
+    its first state; a later state that _is_image of it copies the result.
     """
     periodic = s.state.domain.bc is BoundaryCondition.PERIODIC
     w = _weyl_bound(s.state, s.mu)
@@ -516,33 +516,6 @@ def _merge(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def _coarse_solves(seeds: SpectralField, domain: Domain, p: Params) -> np.ndarray:
-    """The distinct coarse solutions of a batch of seeds, zero-padded to the full band.
-
-    The batch is a SpectralField with one seed per row, on _levels(domain)[0].
-    On each level below the full band the live rows take their Newton steps
-    in lockstep; those that converge or collapse are merged by _merge and
-    zero-padded to the next level as one batch, and a row that fails there
-    is dropped.  On a one-level domain the seeds are returned as drawn.
-    """
-    levels = _levels(domain)
-    x = seeds.data
-    for level, finer in zip(levels, levels[1:]):
-        if len(x):  # every row may have failed on a coarser level
-            solved = _newton_rows(SpectralField(level, x), p)
-            x = _merge(np.array([s.state.data for s in solved if not isinstance(s, Exception)])
-                       .reshape(-1, x.shape[1]))
-        x = resample(x, level, finer)
-    return x
-
-
-def _full_band(x: np.ndarray, domain: Domain, p: Params) -> SteadyState | None:
-    """newton from one full-band start, None where it fails."""
-    with contextlib.suppress(NoConvergence, SingularJacobian):
-        return newton(SpectralField(domain, x), p)
-    return None
-
-
 def _order_key(s: SteadyState) -> tuple:
     """Census order: by rounded norm, then by the nonzero rounded coefficients.
 
@@ -579,8 +552,8 @@ def _seeds(domain: Domain, p: Params, n_seeds: int, rng_seed: int) -> SpectralFi
     return SpectralField(start, seeds)
 
 
-def _representatives(states: list[SteadyState], p: Params) -> list[int]:
-    """Per state, the first earlier representative it is a box-symmetry image of, else itself.
+def _is_image(s: SteadyState, r: SteadyState, p: Params) -> bool:
+    """Whether s is a box-symmetry image of r, within the Weyl bound WEYL_TOL.
 
     s is an image of r when an element g of _box_symmetries and a sign t
     (+-1 at mu = 0, +1 otherwise) give w = (3 (s_r + s_s) + 2 |mu|) s_D
@@ -589,25 +562,15 @@ def _representatives(states: list[SteadyState], p: Params) -> list[int]:
     bounds |J(s) - J(t g r)|, so by Weyl's inequality the eigenvalues of
     J(s) lie within w of those of J(r).
     """
-    if not states:
-        return []
-    d = states[0].state.domain
+    d = s.state.domain
     src, sign = _box_symmetries(d)
-    x = [s.state.data for s in states]
-    sup = [float(_sup_bound(xs, d)) for xs in x]
+    sup_s, sup_r = (float(_sup_bound(u.state.data, d)) for u in (s, r))
+    scale = 3.0 * (sup_r + sup_s) + 2.0 * abs(p.mu)
     ts = (1.0, -1.0) if p.mu == 0.0 else (1.0,)
-    reps: list[int] = []
-    for i, xs in enumerate(x):
-        reps.append(i)
-        for r in range(i):
-            scale = 3.0 * (sup[r] + sup[i]) + 2.0 * abs(p.mu)
-            # every g keeps the l1 norm, so s_D >= |s_s - s_r|: a cheap test first
-            if (reps[r] == r and scale * abs(sup[i] - sup[r]) < WEYL_TOL
-                    and any(scale * _sup_bound(xs - t * g * x[r][j], d) < WEYL_TOL
-                            for j, g in zip(src, sign) for t in ts)):
-                reps[i] = r
-                break
-    return reps
+    # every g keeps the l1 norm, so s_D >= |s_s - s_r|: a cheap test first
+    return scale * abs(sup_s - sup_r) < WEYL_TOL and any(
+        scale * _sup_bound(s.state.data - t * sign * r.state.data[src], d).min() < WEYL_TOL
+        for t in ts)
 
 
 def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0,
@@ -618,30 +581,42 @@ def find_all(domain: Domain, p: Params, n_seeds: int = 100, *, rng_seed: int = 0
     noise on the slaved modes.  dedup 'symmetry' identifies states equal up
     to a global sign flip (mu = 0) and, on periodic domains, shifts by whole
     grid points only, so one translation circle yields many states (ROADMAP
-    items 10, 12); 'exact' keeps every distinct state.  The seeds are drawn
+    items 8, 9); 'exact' keeps every distinct state.  The seeds are drawn
     on the coarsest of _levels(domain) (_seeds) as one batch.  On each level
     below the full band the batch takes its Newton steps in lockstep, a row
     that fails there is dropped, and the rest are merged (_merge) and
     zero-padded to the next level, which keeps their distances.  Only the
-    full-band solve of each distinct row accepts a state (residual <=
+    full-band newton of each distinct row accepts a state (residual <=
     NEWTON_TOL).  This pays off when the states are resolved within the
     coarse bands, as near onset.  On a one-level domain every seed gets its
     own full-band solve.  Every kept state is returned with its stability,
-    run once per box-symmetry orbit: a state that _representatives matches
-    to an earlier one keeps its own state and residual and takes that one's
+    run once per box-symmetry orbit: a state that _is_image of an earlier
+    representative keeps its own state and residual and takes that one's
     leading_eigs, neutral_eigs and morse_index.
     """
     check_params(domain, p)
-    x = _coarse_solves(_seeds(domain, p, n_seeds, rng_seed), domain, p)
-    states = sorted((s for s in (_full_band(xr, domain, p) for xr in x) if s is not None),
-                    key=_order_key)
-    kept: list[SteadyState] = []
-    for s in states:
-        if all(orbit_distance(s.state, k.state, p, dedup) >= DEDUP_TOL for k in kept):
-            kept.append(s)
-    reps = _representatives(kept, p)
-    solved = {r: stability(kept[r]) for r in sorted(set(reps))}
-    return [replace(solved[r], state=s.state, residual=s.residual) for s, r in zip(kept, reps)]
+    levels = _levels(domain)
+    x = _seeds(domain, p, n_seeds, rng_seed).data
+    for level, finer in zip(levels, levels[1:]):
+        if len(x):  # every row may have failed on a coarser level
+            solved = _newton_rows(SpectralField(level, x), p)
+            x = _merge(np.array([s.state.data for s in solved if not isinstance(s, Exception)])
+                       .reshape(-1, x.shape[1]))
+        x = resample(x, level, finer)
+    states = []
+    for xr in x:
+        with contextlib.suppress(NoConvergence, SingularJacobian):
+            states.append(newton(SpectralField(domain, xr), p))
+    kept, reps = [], []  # reps: the first state of each orbit, with its stability
+    for s in sorted(states, key=_order_key):
+        if any(orbit_distance(s.state, k.state, p, dedup) < DEDUP_TOL for k in kept):
+            continue
+        rep = next((r for r in reps if _is_image(s, r, p)), None)
+        if rep is None:
+            rep = stability(s)
+            reps.append(rep)
+        kept.append(replace(rep, state=s.state, residual=s.residual))
+    return kept
 
 
 def index_sum(states: list[SteadyState]) -> int:

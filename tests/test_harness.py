@@ -389,6 +389,18 @@ def test_cli_seed_count_from_config_unless_flag(tmp_path, monkeypatch, capsys,
         assert seen == [want]
 
 
+@pytest.mark.parametrize("command", ["steady", "sweep"])
+@pytest.mark.parametrize("n_seeds", ["0", "-3"])
+def test_cli_seed_count_below_one_is_config_error(tmp_path, capsys, command, n_seeds):
+    # the flag obeys the rule an n_seeds= config line does
+    box = ["--dim", "1", "--bc", "dirichlet", "--length", str(math.pi / 2),
+           "--grid", "64", "--band", "16"]
+    lam = ["--lambda-min", "9.5", "--lambda-max", "9.5"] if command == "sweep" else []
+    rc = cli.main(["--out", str(tmp_path), command, *box, *lam, "--nseeds", n_seeds])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_steady_single(tmp_path, capsys):
     rc = cli.main(["--out", str(tmp_path), "steady", "--dim", "1", "--bc",
                    "dirichlet", "--length", str(math.pi / 2), "--grid", "64",

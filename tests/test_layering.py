@@ -1,4 +1,5 @@
-"""Module structure: every import of the package sits at module level, and none forks."""
+"""Module structure: every import of the package sits at module level, none forks, and
+every private helper has a caller in the package."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,19 @@ def test_no_child_processes(path):
                 if isinstance(node, ast.ImportFrom) and node.level == 0]
     banned = {"multiprocessing", "subprocess", "concurrent"}
     assert not [m for m in modules if m.split(".")[0] in banned]
+
+
+def test_every_private_helper_has_a_src_caller():
+    # a private helper that only tests call is code the package does not need
+    refs, helpers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                helpers.append((f"{path.name}:{stmt.name}", stmt))
+            refs.append((stmt, {n.id if isinstance(n, ast.Name) else n.attr
+                                for n in ast.walk(stmt)
+                                if isinstance(n, (ast.Name, ast.Attribute))}))
+    unused = [name for name, node in helpers
+              if not any(node.name in used for stmt, used in refs if stmt is not node)]
+    assert not unused

@@ -32,6 +32,7 @@ from shbif.steady import (
     WEYL_TOL,
     SteadyState,
     _Jacobian,
+    _is_image,
     _minres,
     _residual,
     _solve_newton_system,
@@ -281,11 +282,11 @@ def test_find_all_shares_stability_across_box_images(monkeypatch):
     states = find_all(CENSUS_BOX, p, n_seeds=100, rng_seed=3)
     nz = [s for s in states if s.norm > 1e-6]
     assert len(nz) == 4 and len(calls) == 2  # rolls in x and y, and two mirror squares
-    reps = steady._representatives(states, p)
-    assert sorted(set(reps)) == [0, 1, 3]
-    for i, (s, r) in enumerate(zip(states, reps)):
-        if r == i:
-            continue
+    images = {(i, r) for i, s in enumerate(states) for r in range(i)
+              if _is_image(s, states[r], p)}
+    assert images == {(2, 1), (4, 3)}
+    for i, r in images:
+        s = states[i]
         assert (s.leading_eigs, s.neutral_eigs, s.morse_index) == \
             (states[r].leading_eigs, states[r].neutral_eigs, states[r].morse_index)
         direct = stability(replace(s, leading_eigs=None, neutral_eigs=None, morse_index=None))
@@ -294,20 +295,34 @@ def test_find_all_shares_stability_across_box_images(monkeypatch):
         assert_allclose(s.leading_eigs, direct.leading_eigs, rtol=0, atol=1e-10)
 
 
+def test_find_all_shares_stability_over_the_cube_table(monkeypatch):
+    # 48 signed axis permutations: single-mode attractors, two-mode and
+    # three-mode saddles, one eigensolve per orbit
+    d = Domain.make(3, 2 * math.pi, "odd-periodic", grid_n=16, band=4)
+    calls, real = [], steady.stability
+    monkeypatch.setattr(steady, "stability", lambda s: calls.append(s) or real(s))
+    nz = [s for s in find_all(d, Params(0.2), 40, rng_seed=0, dedup="exact") if s.norm > 1e-6]
+    assert len(nz) == 11 and len(calls) == 3
+    assert sorted({round(s.norm, 4) for s in nz}) == [4.5378, 4.7153, 5.7539]
+    for s in nz:
+        direct = real(replace(s, leading_eigs=None, neutral_eigs=None, morse_index=None))
+        assert direct.morse_index == s.morse_index
+
+
 def test_perturbed_image_gets_its_own_eigensolve(census_states):
     p = Params(0.2)
-    reps = steady._representatives(census_states, p)
-    i = next(i for i, r in enumerate(reps) if r != i)
-    moved = list(census_states)
-    moved[i] = replace(moved[i], state=moved[i].state + 1e-9 * eigenfunction(CENSUS_BOX, (1, 2)))
-    assert steady._representatives(moved, p) == reps[:i] + [i] + reps[i + 1:]
+    i = next(i for i, s in enumerate(census_states)
+             if any(_is_image(s, r, p) for r in census_states[:i]))
+    s = census_states[i]
+    moved = replace(s, state=s.state + 1e-9 * eigenfunction(CENSUS_BOX, (1, 2)))
+    assert not any(_is_image(moved, r, p) for r in census_states[:i])
 
 
 def test_only_mu_zero_shares_across_a_sign_flip():
     u = newton(0.8 * eigenfunction(D, 1), P95)
-    states = [u, replace(u, state=-u.state)]
-    assert steady._representatives(states, P95) == [0, 0]
-    assert steady._representatives(states, Params(9.5, 0.3)) == [0, 1]
+    flipped = replace(u, state=-u.state)
+    assert _is_image(flipped, u, P95)
+    assert not _is_image(flipped, u, Params(9.5, 0.3))
 
 
 def test_translation_equivariance_periodic():
