@@ -134,6 +134,8 @@ def cmd_steady(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.steps < 1:
+        raise RangeError("steps must be >= 1")
     cfg = _base_config(args, n_seeds=20)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,14 +13,16 @@ Stability is not limited by the stiff linear part, only accuracy by dt.
 One step loop advances every trajectory on every boundary condition.  It
 steps coefficient arrays of shape (m, n), one row per member of a batch of
 fields on one domain; a single field is the m = 1 case and steps as its
-(n,) vector.  On dirichlet domains a step is four matrix products for all
-members, the phi weights folded into the projection matrices, on buffers
-made once per sample interval.  Finiteness is checked at samples only:
-E >= 0 and 0 * inf = nan, so an entry that overflows stays non-finite
-until the next sample, which then raises NonFinite.  A trajectory is its
-samples: the norms and free energies of the live rows go into (members,
-samples) arrays, members leave the batch at the sample where they settle,
-and the bound monitors are computed from a member's norms afterwards.
+(n,) vector.  On dirichlet domains a step is two matrix products for all
+members, one per stage, with E, the phi weights and the synthesis folded
+in: eight numpy calls.  Fourier domains synthesize and project each stage
+on its own.  Buffers are made once per sample interval.  Finiteness is
+checked at samples only: E >= 0 and 0 * inf = nan, so an entry that
+overflows stays non-finite until the next sample, which then raises
+NonFinite.  A trajectory is its samples: the norms and free energies of
+the live rows go into (members, samples) arrays, members leave the batch
+at the sample where they settle, and the bound monitors are computed from
+a member's norms afterwards.
 
 Runtime monitors check the L2 comparison bounds obtained from
 d/dt |u|^2 <= 2(lambda - lambda_c)|u|^2 - (2/|Omega|)|u|^4 in the three
@@ -33,8 +35,11 @@ identity and are the ones tested.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,6 +114,29 @@ def _weights(domain: Domain, lam: float, dt: float):
     return _read_only(np.exp(z), dt * _phi1(z), dt * _phi2(z))
 
 
+class _Buffers(NamedTuple):
+    """What one advance call steps on.  x and a are the buffers (g, s, c, v)
+    of each stage: its values g on the product grid, their square s = g g
+    and cube c = s g, and v, the values C projects: [s; c] when mu > 0,
+    else c, with the square formed in place in it.  Each step calls
+    stage1(h, y), which leaves a and its values, stage2(v_a - v_x, d) and
+    update(y, d, out), which leaves x+ and its values; the last step calls
+    `last` in place of update.  result() gives the coefficients of x,
+    never x itself."""
+
+    x: tuple
+    a: tuple
+    h: np.ndarray
+    y: np.ndarray
+    d: np.ndarray
+    out: np.ndarray
+    stage1: Callable
+    stage2: Callable
+    update: Callable
+    last: Callable
+    result: Callable
+
+
 @lru_cache(maxsize=DOMAIN_CACHE_SIZE)
 def _etd_kernel(maps, domain: Domain, p: Params, dt: float):
     """advance(x, steps): ETDRK2 steps on coefficient arrays of shape (..., n).
@@ -117,76 +145,107 @@ def _etd_kernel(maps, domain: Domain, p: Params, dt: float):
     gets its own kernel.  Leading axes of x are a batch.  One loop serves
     every boundary condition, with C = -N = P(g^3) - mu P(g^2) and W = -f:
 
-        a = E x + project(v(x), W1),  x+ = a + project(v(a) - v(x), W2)
+        a = E x + W1 C(x),  x+ = a + W2 (C(a) - C(x))
 
-    The boundary condition chooses only how the product-grid values v are
-    formed and how they are projected; the stage difference is taken on v.
-    Dirichlet maps, applied to identities, give matrices: g = x St,
-    v = [g^3 | g^2 if mu], and project is a matrix product with the weights
-    folded into Q = [odd; -mu even].  A step is twelve numpy calls (fourteen
-    when mu > 0), four of them matrix products, on buffers made once per
-    call, and allocates nothing.  E stays elementwise: as a diagonal block
-    of W1 it would add n^2 flops per member, more than the two calls it
-    saves once a batch grows.  Fourier domains cube synthesize(y) and
-    project by odd(v) W: two synthesize, two odd and ten ufunc calls a step.
-    The input is never written.  Overflow is not checked here; callers test
-    the result with isfinite under np.errstate.
+    The loop forms each stage's square and cube and the difference of the
+    two v, and calls the stage maps and the update of the boundary
+    condition's _Buffers directly.  Dirichlet maps, applied to identities,
+    give matrices: the synthesis S and the projection Q = [-mu even | odd],
+    so C = Q v.  Each stage is stacked as [v; x; g] with one column per
+    member, and each stage map is one bound matrix product with E, the
+    weights and the synthesis folded in:
+
+        [a; S a] = M1 [v; x],  M1 = [L1; S L1],  L1 = [W1 Q | diag E]
+        [x+; g+] = [a; S a] + M2 (v_a - v_x),  M2 = [L2; S L2],  L2 = W2 Q
+
+    A step is eight numpy calls for either mu and allocates nothing.  At
+    band B it costs a member 15 B^2 multiply-adds (27 B^2 when mu > 0),
+    where synthesizing and projecting each stage on its own costs 8 B^2
+    (12 B^2) in twelve calls (fourteen), so the fold pays while a step is
+    bound by its calls.  Measured from one BLAS thread it breaks even at
+    B = 16 near 100 members with mu = 0 (past 100 when mu > 0), at B = 32
+    between 1 and 20, and from B = 64 at one field at most.  Fourier
+    domains step rows of the shape of x: each stage synthesizes its values
+    afresh into a buffer and projects them by odd(v) W, two synthesize,
+    two odd, ten ufunc calls and two copies a step, and the last step of
+    a call does not synthesize x+.  The input is never written.  Overflow
+    is not checked here; callers test the result with isfinite under
+    np.errstate.
     """
     E, f1, f2 = _weights(domain, p.lam, dt)
     synthesize, odd, even = maps
     mu = p.mu
-    # bound once and given their output positionally: the loop is call-bound
-    dot, mul, add, sub = np.dot, np.multiply, np.add, np.subtract
+    # bound once, called directly and given their output positionally: the
+    # loop is call-bound
+    mul, add, sub = np.multiply, np.add, np.subtract
     if domain.is_dirichlet:
-        St = synthesize(np.eye(E.size))  # x St = values on the P product points
-        P = St.shape[1]
-        Q = odd(np.eye(P))
+        n = E.size
+        St = synthesize(np.eye(n))  # x St = values on the P product points
+        S, P = np.ascontiguousarray(St.T), St.shape[1]
+        Q = odd(np.eye(P)).T
         if mu != 0.0:
-            Q = np.vstack([Q, -mu * even(np.eye(P))])
-        W1, W2, project = Q * -f1, Q * -f2, dot
+            Q = np.hstack([-mu * even(np.eye(P)).T, Q])  # the square rows of v go first
+        V = Q.shape[1]
+        L1 = np.hstack([-f1[:, None] * Q, np.diag(E)])
+        M1, M2 = (np.vstack([L, S @ L]) for L in (L1, -f2[:, None] * Q))
 
-        def stage(lead):  # v(y) into a buffer of its own
-            g, v = np.empty((*lead, P)), np.empty((*lead, Q.shape[0]))
-            c, s = v[..., :P], v[..., P:]
-
-            def values(y):
-                dot(y, St, g)
-                mul(g, g, c)
-                if mu != 0.0:
-                    mul(g, g, s)
-                mul(c, g, c)
-                return v
-
-            return values
+        def layout(x):
+            """[v; x; g] a stage, one column per member.  stage2 writes
+            into [x; g], which update then overwrites with [x+; g+]."""
+            cols = (x.size // n,) if x.ndim > 1 else ()
+            bx, ba = np.empty((V + n + P, *cols)), np.empty((V + n + P, *cols))
+            xs, gx, out = bx[V:V + n], bx[V + n:], bx[V:]
+            xs[...] = x.reshape(-1, n).T if cols else x
+            np.dot(S, xs, gx)
+            vx, va = bx[:V], ba[:V]
+            (sx, cx), (sa, ca) = (((vx[:P], vx[P:]), (va[:P], va[P:])) if mu
+                                  else ((vx, vx), (va, va)))
+            return _Buffers(x=(gx, sx, cx, vx), a=(ba[V + n:], sa, ca, va), h=bx[:V + n], y=ba[V:],
+                            d=out, out=out, stage1=M1.dot, stage2=M2.dot, update=add, last=add,
+                            result=lambda: xs.T.reshape(x.shape).copy())
     else:  # mu > 0 requires the dirichlet condition
         W1, W2 = -f1, -f2
 
-        def project(v, w, out):
-            mul(odd(v), w, out)
+        def layout(x):
+            """Buffers of the shape of x and of its values: the two stages
+            share g, which each synthesizes afresh."""
+            x = x.copy()
+            a, t = np.empty_like(x), np.empty_like(x)
+            g = synthesize(x)
 
-        def values(y):
-            g = synthesize(y)
-            c = g * g
-            c *= g
-            return c
+            def stage1(v, out):
+                mul(odd(v), W1, out)
+                mul(x, E, t)
+                add(out, t, out)
+                g[...] = synthesize(out)
 
-        def stage(lead):
-            return values
+            def stage2(v, out):
+                mul(odd(v), W2, out)
+
+            def update(y, dy, out):
+                add(y, dy, out)
+                g[...] = synthesize(out)
+
+            cx, ca = np.empty_like(g), np.empty_like(g)
+            return _Buffers(x=(g, cx, cx, cx), a=(g, ca, ca, ca), h=cx, y=a, d=t, out=x,
+                            stage1=stage1, stage2=stage2, update=update, last=add,
+                            result=lambda: x)
 
     def advance(x, steps):
-        x = x.copy()
-        a, t = np.empty_like(x), np.empty_like(x)
-        vx_of, va_of = stage(x.shape[:-1]), stage(x.shape[:-1])
-        for _ in range(steps):  # the last argument of each call is its output
-            vx = vx_of(x)
-            project(vx, W1, a)
-            mul(x, E, t)
-            add(a, t, a)
-            va = va_of(a)
+        b = layout(x)
+        (gx, sx, cx, vx), (ga, sa, ca, va) = b.x, b.a
+        h, y, d, out, stage1, stage2 = b.h, b.y, b.d, b.out, b.stage1, b.stage2
+        updates = chain(repeat(b.update, steps - 1), (b.last,)) if steps > 0 else ()
+        for update in updates:  # the last argument of each call is its output
+            mul(gx, gx, sx)
+            mul(sx, gx, cx)
+            stage1(h, y)
+            mul(ga, ga, sa)
+            mul(sa, ga, ca)
             sub(va, vx, va)
-            project(va, W2, t)
-            add(a, t, x)
-        return x
+            stage2(va, d)
+            update(y, d, out)
+        return b.result()
 
     return advance
 

@@ -1,7 +1,9 @@
 """Time stepping, decay-bound monitors, Lyapunov functional, basins."""
 
 import math
+import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -352,7 +354,8 @@ def _reference_etdrk2(x, d, p, dt, steps):
     (D, 9.5, 0.5),
     (Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=32, band=8), 0.5, 0.0),
     (Domain.make(1, 4 * math.pi, "periodic", grid_n=64, band=16), 0.5, 0.0),
-], ids=["0.0", "0.5", "odd-periodic-2d", "periodic-1d"])
+    (Domain.make(1, math.pi / 2, "dirichlet", grid_n=512, band=128), 9.5, 0.5),
+], ids=["0.0", "0.5", "odd-periodic-2d", "periodic-1d", "dirichlet-band128"])
 @pytest.mark.parametrize("batch", [None, 3])
 def test_dirichlet_advance_matches_reference(d, lam, mu, batch, rng):
     p, dt = Params(lam, mu), 1e-3
@@ -381,3 +384,85 @@ def test_dirichlet_advance_memory_flat_in_steps(rng):
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 4096
+
+
+_KERNEL_DOMAINS = [D, Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=32, band=8)]
+
+
+@pytest.mark.parametrize("d", _KERNEL_DOMAINS, ids=["dirichlet", "odd-periodic-2d"])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_advance_zero_steps_returns_a_copy(d, batch, rng):
+    fields = [random_field(d, rng, 1.0) for _ in range(batch or 1)]
+    x = fields[0].data if batch is None else np.stack([f.data for f in fields])
+    out = dynamics._etd_kernel(_product_maps(d), d, Params(0.5), 1e-3)(x, 0)
+    np.testing.assert_array_equal(out, x)
+    assert not np.shares_memory(out, x)
+
+
+@pytest.mark.parametrize("d,mu", [(D, 0.0), (D, 0.5), (_KERNEL_DOMAINS[1], 0.0)],
+                         ids=["dirichlet-mu0", "dirichlet-mu0.5", "odd-periodic-2d"])
+def test_advance_ignores_memory_layout(d, mu, rng):
+    # a Fortran-ordered batch, a row-strided batch and a strided row step
+    # bit-identically to their C-contiguous copies
+    advance = dynamics._etd_kernel(_product_maps(d), d, Params(0.5, mu), 1e-3)
+    wide = np.stack([random_field(d, rng, 1.0).data for _ in range(6)])
+    for x in (np.asfortranarray(wide[:3]), wide[::2], np.asfortranarray(wide)[4]):
+        assert not x.flags.c_contiguous
+        np.testing.assert_array_equal(advance(x, 50), advance(np.ascontiguousarray(x), 50))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_dirichlet_step_call_budget(monkeypatch, mu, batch, rng):
+    # a step at band 16 is bound by its calls into numpy: counting wrappers
+    # stand in for the ufuncs and np.dot, and a profile hook counts the
+    # builtin calls (such as a matrix's bound dot) the step loop makes
+    calls = Counter()
+
+    def counting(f):
+        def wrapper(*args, **kwargs):
+            calls[f.__name__] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    def hook(frame, event, arg):
+        if event == "c_call" and frame.f_code.co_name == "advance":
+            calls[arg.__qualname__] += 1
+
+    for name in ("dot", "multiply", "add", "subtract"):
+        monkeypatch.setattr(np, name, counting(getattr(np, name)))
+    dynamics._etd_kernel.cache_clear()
+    try:
+        advance = dynamics._etd_kernel(_product_maps(D), D, Params(9.5, mu), 1e-3)
+        x = random_field(D, rng, 1.0).data if batch is None else (
+            np.stack([random_field(D, rng, 1.0).data for _ in range(batch)]))
+        counts = []
+        for steps in (10, 20):
+            calls.clear()
+            sys.setprofile(hook)
+            try:
+                advance(x, steps)
+            finally:
+                sys.setprofile(None)
+            counts.append(sum(calls.values()))
+    finally:
+        dynamics._etd_kernel.cache_clear()  # no kernel keeps the wrappers
+    assert (counts[1] - counts[0]) / 10 <= 8
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_fourier_advance_synthesizes_twice_a_step(steps, rng):
+    # each stage synthesizes its values once; the last step's x+ is not
+    d = _KERNEL_DOMAINS[1]
+    synthesize, odd, even = _product_maps(d)
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return synthesize(x)
+
+    advance = dynamics._etd_kernel((counted, odd, even), d, Params(0.5), 1e-3)
+    x = random_field(d, rng, 1.0).data
+    plain = dynamics._etd_kernel(_product_maps(d), d, Params(0.5), 1e-3)
+    np.testing.assert_array_equal(advance(x, steps), plain(x, steps))
+    assert len(calls) == 2 * steps

@@ -401,6 +401,17 @@ def test_cli_seed_count_below_one_is_config_error(tmp_path, capsys, command, n_s
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_cli_sweep_steps_below_one_is_config_error(tmp_path, capsys, steps):
+    # no lambda values to sweep is a config error, not a header-only CSV
+    rc = cli.main(["--out", str(tmp_path), "sweep", "--dim", "1", "--bc", "dirichlet",
+                   "--length", str(math.pi / 2), "--grid", "64", "--band", "16",
+                   "--lambda-min", "9.5", "--lambda-max", "9.5", "--steps", steps])
+    assert rc == 2
+    assert "config error: steps must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_cli_steady_single(tmp_path, capsys):
     rc = cli.main(["--out", str(tmp_path), "steady", "--dim", "1", "--bc",
                    "dirichlet", "--length", str(math.pi / 2), "--grid", "64",
