@@ -14,7 +14,9 @@ otherwise a dense symmetric eigendecomposition for small systems or one
 preconditioned block iteration (LOBPCG) for larger ones.  By Weyl's
 inequality that iteration's window of max(N_EIGS, #{beta > -(w +
 NEUTRAL_TOL)}) eigenvalues holds every positive and every neutral one, so
-one pass gives the Morse index; a failed pass raises EigsNoConvergence.
+one pass gives the Morse index.  The pass stops at its first Rayleigh-Ritz
+when the warm start meets LOBPCG_TOL already, as on the 2-d census box; a
+pass that fails or ends above LOBPCG_TOL raises EigsNoConvergence.
 
 Newton runs in lockstep on a batch of states, one per row: each step takes
 one batched residual, one batched MINRES and a line search that halves its
@@ -97,6 +99,7 @@ NEUTRAL_TOL = 1e-6
 DEDUP_TOL = 1e-6
 KRYLOV_MAXITER = 500  # MINRES iterations per Newton step, at least 2n
 DENSE_LIMIT = 400  # stability() takes dense eigenvalues up to this size
+LOBPCG_TOL = 1e-7  # residual norm |J v - theta v| of every converged Ritz pair
 WEYL_TOL = 1e-12  # stability() takes beta as the spectrum below this bound on |J - diag(beta)|
 
 
@@ -406,13 +409,28 @@ def _lobpcg(jac: _Jacobian, k: int) -> np.ndarray:
 
     Plain Lanczos stalls on the huge spectral spread of (I+Laplace)^2, so
     the block iteration is preconditioned with 1/(|beta|+1) and started
-    from _lobpcg_start.  Raises EigsNoConvergence when LOBPCG fails.
+    from _lobpcg_start.  Iteration 0 runs here, one apply per column: when
+    every Ritz pair of the orthonormalized start meets |J v - theta v| <=
+    LOBPCG_TOL, scipy's own test, the Ritz values are returned, as scipy
+    would return them; otherwise scipy's lobpcg goes on from the Ritz
+    vectors.  Raises EigsNoConvergence when LOBPCG fails, returns
+    non-finite values or ends above LOBPCG_TOL.
     """
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            evals, _ = spla.lobpcg(jac.as_linear_operator(), _lobpcg_start(jac, k),
-                                   M=jac.preconditioner(), largest=True, tol=1e-7, maxiter=100)
+        x = np.linalg.qr(np.asarray_chkfinite(_lobpcg_start(jac, k)))[0]  # qr hides a nan
+        jx = np.stack([jac.apply(v) for v in x.T], axis=1)  # single applies beat a batched one
+        gram = x.T @ jx
+        evals, rot = np.linalg.eigh(0.5 * (gram + gram.T))
+        x = x @ rot
+        if not np.all(np.linalg.norm(jx @ rot - x * evals, axis=0) <= LOBPCG_TOL):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a residual past the tolerance raises below
+                evals, _, history = spla.lobpcg(
+                    jac.as_linear_operator(), x, M=jac.preconditioner(), largest=True,
+                    tol=LOBPCG_TOL, maxiter=100, retResidualNormsHistory=True)
+            if not np.all(history[-1] <= LOBPCG_TOL):
+                raise EigsNoConvergence(f"LOBPCG missed its tolerance for the leading {k} "
+                                        f"eigenvalues: residuals up to {np.max(history[-1]):.3g}")
     except (np.linalg.LinAlgError, ValueError) as err:
         raise EigsNoConvergence(f"LOBPCG failed for the leading {k} eigenvalues: {err}") from err
     if not np.all(np.isfinite(evals)):
@@ -444,13 +462,15 @@ def stability(s: SteadyState) -> SteadyState:
     inequality puts the i-th largest eigenvalue of J(u) within w =
     _weyl_bound of the i-th largest beta.  When w < WEYL_TOL, as at the
     trivial state, the sorted beta are taken as the eigenvalues with no
-    eigensolver run.  Otherwise small systems are diagonalised densely, and
-    larger ones run one LOBPCG on k = max(N_EIGS, m) leading eigenvalues,
-    where m counts the beta above -(w + NEUTRAL_TOL): the (k+1)-th
-    eigenvalue then lies at or below -NEUTRAL_TOL, so every positive and
-    every neutral eigenvalue is among the k.  A failed LOBPCG raises
-    EigsNoConvergence.  find_all calls this once per box-symmetry orbit, on
-    its first state; a later state that _is_image of it copies the result.
+    eigensolver run.  Otherwise one _lobpcg runs on k = max(N_EIGS, m)
+    leading eigenvalues, where m counts the beta above -(w + NEUTRAL_TOL):
+    the (k+1)-th eigenvalue then lies at or below -NEUTRAL_TOL, so every
+    positive and every neutral eigenvalue is among the k.  A converged warm
+    start makes that k full-band applies.  Systems of at most DENSE_LIMIT
+    or fewer than 5 k modes, too few for LOBPCG's block, are diagonalised
+    densely.  A failed LOBPCG raises EigsNoConvergence.  find_all calls
+    this once per box-symmetry orbit, on its first state; a later state
+    that _is_image of it copies the result.
     """
     periodic = s.state.domain.bc is BoundaryCondition.PERIODIC
     w = _weyl_bound(s.state, s.mu)
@@ -458,11 +478,11 @@ def stability(s: SteadyState) -> SteadyState:
         evals = np.sort(growth_array(s.state.domain, s.lam))
     else:
         jac = _Jacobian(s.state, Params(s.lam, s.mu))
-        if jac.n <= DENSE_LIMIT:
+        k = max(N_EIGS, int(np.count_nonzero(jac.beta > -(w + NEUTRAL_TOL))))
+        if jac.n <= DENSE_LIMIT or jac.n < 5 * k:
             evals = np.linalg.eigvalsh(_dense(jac))
         else:
-            window = int(np.count_nonzero(jac.beta > -(w + NEUTRAL_TOL)))
-            evals = _lobpcg(jac, max(N_EIGS, window))
+            evals = _lobpcg(jac, k)
     is_neutral = (np.abs(evals) < NEUTRAL_TOL) & periodic
     morse = int(np.count_nonzero(evals[~is_neutral] > POS_TOL))
     leading = tuple(np.sort(evals)[::-1][:N_EIGS].tolist())

@@ -598,6 +598,7 @@ def test_jacobian_from_residual_grid_is_bit_identical(domain, p, rng):
 
 
 D2_BAND16 = Domain.make(2, 2 * math.pi, "odd-periodic", grid_n=64, band=16)  # n = 544
+BOX_4PI = Domain.make(2, 4 * math.pi, "odd-periodic", grid_n=64, band=24)  # n = 1200
 
 
 def _scaled_state(norm, rng):
@@ -638,6 +639,13 @@ def test_stability_small_nonzero_state_still_iterates(rng, monkeypatch):
     assert calls
 
 
+def _window(s):
+    """The Jacobian at s and the LOBPCG block size stability gives it."""
+    jac = _Jacobian(s.state, Params(s.lam, s.mu))
+    w = _weyl_bound(s.state, s.mu)
+    return jac, max(steady.N_EIGS, int(np.count_nonzero(jac.beta > -(w + steady.NEUTRAL_TOL))))
+
+
 def _morse_and_neutral(evals, periodic):
     neutral = [e for e in evals if periodic and abs(e) < steady.NEUTRAL_TOL]
     return sum(1 for e in evals if e > steady.POS_TOL and e not in neutral), len(neutral)
@@ -645,7 +653,7 @@ def _morse_and_neutral(evals, periodic):
 
 @pytest.mark.parametrize("d,lam", [
     (D2_BAND16, 0.2),
-    (Domain.make(2, 4 * math.pi, "odd-periodic", grid_n=64, band=24), 0.3),  # window 12-14
+    (BOX_4PI, 0.3),  # window 12-14
     (Domain.make(2, 2 * math.pi, "periodic", grid_n=32, band=12), 0.2),  # translation modes
 ], ids=["2pi-band16", "4pi-band24", "periodic-band12"])
 def test_one_lobpcg_pass_holds_every_positive_and_neutral_eigenvalue(d, lam, monkeypatch):
@@ -656,9 +664,7 @@ def test_one_lobpcg_pass_holds_every_positive_and_neutral_eigenvalue(d, lam, mon
     for s in states:
         calls.clear()
         got = stability(s)
-        jac = _Jacobian(s.state, Params(s.lam, s.mu))
-        w = _weyl_bound(s.state, s.mu)
-        k = max(steady.N_EIGS, int(np.count_nonzero(jac.beta > -(w + steady.NEUTRAL_TOL))))
+        jac, k = _window(s)
         assert calls == [(d.band, k)]
         mat = jac.apply(np.eye(jac.n))
         full = np.linalg.eigvalsh(0.5 * (mat + mat.T))[::-1]  # the whole spectrum, descending
@@ -669,14 +675,110 @@ def test_one_lobpcg_pass_holds_every_positive_and_neutral_eigenvalue(d, lam, mon
 
 @pytest.mark.parametrize("failure", ["raises", "nan"])
 def test_stability_raises_when_lobpcg_fails(failure, rng, monkeypatch):
+    calls = []
+
     def failing_lobpcg(a, x0, **kwargs):
+        calls.append(x0.shape)
         if failure == "raises":
             raise np.linalg.LinAlgError("forced failure")
-        return np.full(x0.shape[1], np.nan), x0
+        k = x0.shape[1]  # non-finite values under a history that claims convergence
+        return np.full(k, np.nan), x0, [np.zeros(k)]
 
     monkeypatch.setattr(steady.spla, "lobpcg", failing_lobpcg)
+    monkeypatch.setattr(steady, "_start_level", lambda domain: None)  # misses the tolerance
     with pytest.raises(EigsNoConvergence):
         stability(_scaled_state(1e-3, rng))
+    assert calls  # the failure came from scipy's iteration, not the Rayleigh-Ritz before it
+
+
+def test_stability_raises_when_lobpcg_stops_short_of_its_tolerance(monkeypatch):
+    s = next(s for s in find_all(BOX_4PI, Params(0.3), n_seeds=8) if s.norm > 1e-6)
+    converged = stability(s)
+    real = spla.lobpcg
+    monkeypatch.setattr(steady, "_start_level", lambda domain: None)  # a cold start
+    monkeypatch.setattr(steady.spla, "lobpcg", lambda *a, **kw: real(*a, **{**kw, "maxiter": 1}))
+    with pytest.raises(EigsNoConvergence, match="missed its tolerance"):
+        stability(s)
+    monkeypatch.setattr(steady.spla, "lobpcg", real)
+    assert stability(s).leading_eigs == pytest.approx(converged.leading_eigs, abs=1e-10)
+
+
+EARLY_EXIT_BOXES = pytest.mark.parametrize("d", [
+    D2_BAND16,
+    Domain.make(2, 5.0, "periodic", grid_n=64, band=16),  # n = 1088, translation modes
+], ids=["2pi-band16", "periodic-5-band16"])
+
+
+@EARLY_EXIT_BOXES
+def test_converged_warm_start_skips_the_scipy_iteration(d, monkeypatch):
+    states = [s for s in find_all(d, Params(principal(d).lambda_c + 0.2), n_seeds=8)
+              if s.norm > 1e-6]
+    assert len(states) >= 2
+    real, runs = spla.lobpcg, []
+    monkeypatch.setattr(steady.spla, "lobpcg", lambda *a, **kw: runs.append(a) or real(*a, **kw))
+    periodic = d.bc is BoundaryCondition.PERIODIC
+    for s in states:
+        jac, k = _window(s)
+        got = steady._lobpcg(jac, k)
+        assert runs == []
+        mat = jac.apply(np.eye(jac.n))
+        full = np.linalg.eigvalsh(0.5 * (mat + mat.T))[::-1]
+        morse, neutral = _morse_and_neutral(got, periodic)
+        assert (morse, neutral) == _morse_and_neutral(full, periodic)
+        assert (neutral >= 1) == periodic  # translation modes on the periodic box
+        assert_allclose(got[::-1], full[:k], rtol=0, atol=1e-7)
+        ref, _ = real(jac.as_linear_operator(), steady._lobpcg_start(jac, k),
+                      M=jac.preconditioner(), largest=True, tol=steady.LOBPCG_TOL, maxiter=100)
+        assert_allclose(got, np.sort(ref), rtol=0, atol=1e-12)
+
+
+@EARLY_EXIT_BOXES
+def test_non_finite_lobpcg_start_raises(d, monkeypatch):
+    s = next(s for s in find_all(d, Params(principal(d).lambda_c + 0.2), n_seeds=8)
+             if s.norm > 1e-6)
+    real = steady._lobpcg_start
+
+    def poisoned(jac, k):
+        x0 = real(jac, k)
+        x0[0, 0] = np.nan
+        return x0
+
+    monkeypatch.setattr(steady, "_lobpcg_start", poisoned)
+    with pytest.raises(EigsNoConvergence):
+        stability(s)
+
+
+def test_converged_start_costs_one_apply_per_eigenvalue(census_states, monkeypatch):
+    # after the dense start on the coarse level, a start that meets the
+    # tolerance takes k single full-band applies: one Rayleigh-Ritz, and no
+    # scipy call to repeat it
+    applies, real = [], _Jacobian.apply
+
+    def counted(self, x, rows=slice(None)):
+        applies.append((self.domain, np.ndim(x)))
+        return real(self, x, rows)
+
+    monkeypatch.setattr(_Jacobian, "apply", counted)
+    monkeypatch.setattr(steady.spla, "lobpcg", None)  # calling it fails the test
+    for s in census_states:
+        if s.norm > 1e-6:
+            _jac, k = _window(s)
+            applies.clear()
+            stability(s)
+            assert [a for a in applies if a[0] == CENSUS_BOX] == [(CENSUS_BOX, 1)] * k
+
+
+def test_stability_goes_dense_where_lobpcg_has_too_few_modes(rng, monkeypatch):
+    calls = _count_lobpcg_calls(monkeypatch)
+    s = _scaled_state(100.0, rng)  # the Weyl window spans more than a fifth of the modes
+    jac, k = _window(s)
+    assert jac.n > steady.DENSE_LIMIT and jac.n < 5 * k
+    got = stability(s)
+    assert calls == []
+    mat = jac.apply(np.eye(jac.n))
+    full = np.linalg.eigvalsh(0.5 * (mat + mat.T))[::-1]
+    assert got.morse_index == _morse_and_neutral(full, False)[0]
+    assert_allclose(got.leading_eigs, full[:steady.N_EIGS], rtol=0, atol=1e-9)
 
 
 L1_BOUND_DOMAINS = [
@@ -713,28 +815,31 @@ def test_weyl_bound_holds_for_the_dense_nonlinear_part(domain, p, rng):
     assert np.linalg.norm(nonlinear, 2) <= _weyl_bound(u, p.mu)
 
 
-@pytest.mark.parametrize("d,lam", [
-    (D2_BAND16, 0.2),
+@pytest.mark.parametrize("d,lam,max_steps", [
+    (D2_BAND16, 0.2, 0),  # the start meets the tolerance: no scipy iteration
     # K_c = 2: the coarsest level has band 16, 544 modes, so the dense start
     # runs on its half
-    (Domain.make(2, 4 * math.pi, "odd-periodic", grid_n=64, band=24), 0.3),
+    (BOX_4PI, 0.3, 6),
 ], ids=["2pi-band16", "4pi-band24"])
-def test_warm_started_lobpcg_matches_cold_start(d, lam, monkeypatch):
+def test_warm_started_lobpcg_matches_cold_start(d, lam, max_steps, monkeypatch):
     assert steady._start_level(d).band == (8, 8)
     states = find_all(d, Params(lam), n_seeds=20)
     calls = _count_lobpcg_calls(monkeypatch)
     steps, real = [], spla.lobpcg
 
     def recorded(*args, **kwargs):
-        evals, vecs, history = real(*args, retResidualNormsHistory=True, **kwargs)
+        evals, vecs, history = real(*args, **kwargs)
         steps.append(len(history))
-        return evals, vecs
+        return evals, vecs, history
 
     monkeypatch.setattr(steady.spla, "lobpcg", recorded)
     warm = [stability(s) for s in states if s.norm > 1e-6]
     assert {s.morse_index for s in warm} == {0, 1}
     assert [band for band, _ in calls] == [d.band] * len(warm)  # one full-band pass each
-    assert max(steps) <= 6
+    if max_steps:
+        assert max(steps) <= max_steps
+    else:
+        assert steps == []
     monkeypatch.setattr(steady, "_start_level", lambda domain: None)  # unit vectors
     calls.clear()
     steps.clear()
